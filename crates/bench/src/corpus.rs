@@ -261,7 +261,10 @@ mod probe_tmp2 {
             let hi = (e.at + 40).min(script.len());
             let lo = (lo..=e.at).rev().find(|&i| script.is_char_boundary(i)).unwrap();
             let hi = (hi..script.len().min(hi+4)).find(|&i| script.is_char_boundary(i)).unwrap_or(script.len());
-            println!("--- at {} ({}:{}): {}", e.at, e.line, e.column, format!("expected {:?} found {:?}", e.expected, e.found));
+            println!(
+                "--- at {} ({}:{}): expected {:?} found {:?}",
+                e.at, e.line, e.column, e.expected, e.found
+            );
             println!("    ...{}", &script[lo..hi].replace('\n', " "));
         }
     }

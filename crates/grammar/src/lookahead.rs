@@ -14,6 +14,8 @@
 //!   shortest shared token sequence is emitted as a concrete witness;
 //! * [`Outcome::Saturated`] — a set overflowed its cap and no witness was
 //!   found among the retained words, so neither claim can be certified.
+//!   A grammar with more distinct tokens than a 16-bit id can name reports
+//!   every decision this way.
 //!
 //! # Words
 //!
@@ -25,6 +27,19 @@
 //! shortest witness. Sets under-approximate when capped (`complete`
 //! false): word *presence* is always a real derivation, word *absence* is
 //! only trustworthy when the set is complete.
+//!
+//! # Evaluation order
+//!
+//! Depth levels are evaluated shallowest first, and each level in
+//! dependency order. FIRST_j of a nonterminal reads FIRST_j of another
+//! only through its left corner (after a nullable prefix); every other
+//! read is of a finished shallower level. So each strongly connected
+//! component of the left-corner graph is evaluated once its successors are
+//! done, and only a left-recursive component iterates. FOLLOW_j reads
+//! FOLLOW_j of a parent only when the rest after an occurrence is
+//! nullable, and then takes it whole: one fold per occurrence builds a
+//! base set, and one union per component of that parent graph finishes
+//! it, with no iteration.
 //!
 //! # PEG safety
 //!
@@ -39,14 +54,16 @@
 use crate::analysis::{GrammarAnalysis, EOF};
 use crate::ir::Term;
 use crate::lower::is_synthetic;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 
 /// Deepest lookahead the packed word representation supports.
 pub const K_MAX: usize = 3;
 
-/// Per-set word cap. When a set reaches the cap the largest word is
-/// dropped and the set is marked incomplete; keeping the smallest words
-/// preserves the shortest-witness property under saturation.
+/// Per-set word cap. A set keeps its `CAP` smallest words and is marked
+/// incomplete when it was offered more distinct words than that; keeping
+/// the smallest words preserves the shortest-witness property under
+/// saturation.
 const CAP: usize = 20_000;
 
 type Word = u64;
@@ -93,36 +110,146 @@ fn w_prefix(v: Word, w: Word) -> bool {
     w_len(v) <= w_len(w) && (0..w_len(v)).all(|i| w_tok(v, i) == w_tok(w, i))
 }
 
-/// A capped set of packed words plus a completeness flag.
+/// A capped set of packed words, sorted ascending without duplicates,
+/// plus a completeness flag. Built through [`SeqBuilder`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SeqSet {
-    words: BTreeSet<Word>,
+    words: Vec<Word>,
     complete: bool,
 }
 
 impl SeqSet {
-    fn new() -> Self {
+    /// The complete set holding only the empty word.
+    fn epsilon() -> Self {
         SeqSet {
-            words: BTreeSet::new(),
+            words: vec![EPSILON],
+            complete: true,
+        }
+    }
+}
+
+/// Collects words in any order and caps them into a [`SeqSet`]: the `CAP`
+/// smallest distinct words are kept, and the set is incomplete when more
+/// than `CAP` distinct words were pushed (or an absorbed set was).
+struct SeqBuilder {
+    words: Vec<Word>,
+    complete: bool,
+}
+
+impl SeqBuilder {
+    fn new() -> Self {
+        SeqBuilder {
+            words: Vec::new(),
             complete: true,
         }
     }
 
-    fn insert(&mut self, w: Word) {
-        if self.words.contains(&w) {
-            return;
-        }
-        if self.words.len() >= CAP {
-            self.complete = false;
-            let &max = self.words.iter().next_back().unwrap();
-            if w < max {
-                self.words.remove(&max);
-                self.words.insert(w);
-            }
-        } else {
-            self.words.insert(w);
+    fn push(&mut self, w: Word) {
+        self.words.push(w);
+        self.bound();
+    }
+
+    /// Add every word of `s`, inheriting its incompleteness.
+    fn absorb(&mut self, s: &SeqSet) {
+        self.complete &= s.complete;
+        self.words.extend_from_slice(&s.words);
+        self.bound();
+    }
+
+    /// Cap early when the buffer grows large. The `CAP` smallest of a set
+    /// are also the `CAP` smallest of any superset's retained part, so the
+    /// finished set is the same as with one cap at the end.
+    fn bound(&mut self) {
+        if self.words.len() >= 4 * CAP {
+            self.cap();
         }
     }
+
+    fn cap(&mut self) {
+        self.words.sort_unstable();
+        self.words.dedup();
+        if self.words.len() > CAP {
+            self.words.truncate(CAP);
+            self.complete = false;
+        }
+    }
+
+    fn finish(mut self) -> SeqSet {
+        self.cap();
+        SeqSet {
+            words: self.words,
+            complete: self.complete,
+        }
+    }
+}
+
+/// The smallest word in both sorted sets, by a merge walk.
+fn first_common(a: &[Word], b: &[Word]) -> Option<Word> {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => return Some(a[i]),
+        }
+    }
+    None
+}
+
+/// Strongly connected components of the graph `succ` (node → successors),
+/// in Tarjan's emission order: each component comes after every component
+/// it reaches, so evaluating in this order finds dependencies finished.
+fn sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNSEEN: usize = usize::MAX;
+    let mut index = vec![UNSEEN; succ.len()];
+    let mut low = vec![0; succ.len()];
+    let mut on_stack = vec![false; succ.len()];
+    let mut stack = Vec::new();
+    let mut comps = Vec::new();
+    let mut next = 0;
+    for root in 0..succ.len() {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        // Explicit DFS frames: (node, next successor to visit).
+        let mut frames = vec![(root, 0)];
+        while let Some(frame) = frames.last_mut() {
+            let (v, e) = *frame;
+            if index[v] == UNSEEN {
+                index[v] = next;
+                low[v] = next;
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succ[v].get(e) {
+                frame.1 += 1;
+                if index[w] == UNSEEN {
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let mut comp = Vec::new();
+                loop {
+                    let w = stack.pop().expect("component root is on the stack");
+                    on_stack[w] = false;
+                    comp.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                comps.push(comp);
+            }
+        }
+    }
+    comps
 }
 
 /// One compiled dispatch-table entry: observing `word` as the next tokens
@@ -177,6 +304,15 @@ pub struct Decision {
 }
 
 impl Decision {
+    fn new(production: &str, conflict: &BTreeSet<&str>, outcome: Outcome) -> Self {
+        Decision {
+            production: production.to_string(),
+            synthetic: is_synthetic(production),
+            conflict_tokens: conflict.iter().map(|t| t.to_string()).collect(),
+            outcome,
+        }
+    }
+
     /// One-line human rendering used by the linter and the CLI report.
     pub fn summary(&self) -> String {
         let toks = self.conflict_tokens.join(", ");
@@ -248,118 +384,151 @@ impl LookaheadAnalysis {
     }
 }
 
+/// A flat grammar symbol: a token id or a production index.
+#[derive(Clone, Copy)]
+enum Sym {
+    Tok(u16),
+    Nt(usize),
+}
+
 struct La<'a> {
     a: &'a GrammarAnalysis,
     k: usize,
     tok_ids: HashMap<&'a str, u16>,
     tok_names: Vec<&'a str>,
-    /// `first[j]` / `follow[j]` are valid for j in 1..=k; index 0 unused.
-    /// Level 1 is populated for every nonterminal (derived from the k=1
-    /// analysis); deeper levels only for demanded symbols.
-    first: Vec<BTreeMap<&'a str, SeqSet>>,
-    follow: Vec<BTreeMap<&'a str, SeqSet>>,
-    /// Nonterminal occurrences: name → (production idx, alt idx, position).
-    occ: HashMap<&'a str, Vec<(usize, usize, usize)>>,
+    /// Production index by name; productions are numbered in flat order.
+    index: HashMap<&'a str, usize>,
+    names: Vec<&'a str>,
+    /// Each production's alternatives as symbol sequences.
+    alts: Vec<Vec<Vec<Sym>>>,
+    nullable: Vec<bool>,
+    /// `first[j][n]` / `follow[j][n]` are valid for j in 1..=k; index 0
+    /// unused. Level 1 is populated for every nonterminal (derived from
+    /// the k=1 analysis); deeper levels only for demanded symbols.
+    first: Vec<Vec<Option<SeqSet>>>,
+    follow: Vec<Vec<Option<SeqSet>>>,
+    /// Nonterminal occurrences: production → (parent production, alt
+    /// idx, position).
+    occ: Vec<Vec<(usize, usize, usize)>>,
 }
 
 impl<'a> La<'a> {
-    fn new(a: &'a GrammarAnalysis, k: usize) -> Self {
+    /// Intern the flat grammar and seed level 1 from the k=1 analysis.
+    /// `None` when the grammar has more distinct tokens than a 16-bit id
+    /// can name: packing them would alias two tokens.
+    fn new(a: &'a GrammarAnalysis, k: usize) -> Option<Self> {
+        let prods = a.flat.productions();
+        let index: HashMap<&'a str, usize> = prods
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.name.as_str(), i))
+            .collect();
         let mut tok_ids: HashMap<&'a str, u16> = HashMap::new();
         let mut tok_names: Vec<&'a str> = Vec::new();
-        let mut occ: HashMap<&'a str, Vec<(usize, usize, usize)>> = HashMap::new();
-        for (pi, p) in a.flat.productions().iter().enumerate() {
+        let mut occ = vec![Vec::new(); prods.len()];
+        let mut alts = Vec::with_capacity(prods.len());
+        for (pi, p) in prods.iter().enumerate() {
+            let mut seqs = Vec::with_capacity(p.alternatives.len());
             for (ai, alt) in p.alternatives.iter().enumerate() {
+                let mut seq = Vec::with_capacity(alt.seq.len());
                 for (pos, term) in alt.seq.iter().enumerate() {
-                    match term {
-                        Term::Token(t) => {
-                            if !tok_ids.contains_key(t.as_str()) {
-                                let id = tok_names.len() as u16;
+                    seq.push(match term {
+                        Term::Token(t) => Sym::Tok(match tok_ids.get(t.as_str()) {
+                            Some(&id) => id,
+                            None => {
+                                let id = u16::try_from(tok_names.len()).ok()?;
                                 tok_ids.insert(t.as_str(), id);
                                 tok_names.push(t.as_str());
+                                id
                             }
-                        }
+                        }),
                         Term::NonTerminal(n) => {
-                            occ.entry(n.as_str()).or_default().push((pi, ai, pos));
+                            let m = index[n.as_str()];
+                            occ[m].push((pi, ai, pos));
+                            Sym::Nt(m)
                         }
                         _ => unreachable!("lookahead runs on flattened grammars"),
-                    }
+                    });
                 }
+                seqs.push(seq);
             }
+            alts.push(seqs);
         }
 
-        let mut first: Vec<BTreeMap<&'a str, SeqSet>> = vec![BTreeMap::new(); k + 1];
-        let mut follow: Vec<BTreeMap<&'a str, SeqSet>> = vec![BTreeMap::new(); k + 1];
-        for p in a.flat.productions() {
+        let mut first = vec![vec![None; prods.len()]; k + 1];
+        let mut follow = vec![vec![None; prods.len()]; k + 1];
+        for (i, p) in prods.iter().enumerate() {
             let name = p.name.as_str();
-            let mut f = SeqSet::new();
+            let mut f = SeqBuilder::new();
             if a.nullable.contains(name) {
-                f.insert(EPSILON);
+                f.push(EPSILON);
             }
             for t in &a.first[name] {
-                f.insert(w_push(EPSILON, tok_ids[t.as_str()]));
+                f.push(w_push(EPSILON, tok_ids[t.as_str()]));
             }
-            first[1].insert(name, f);
-            let mut fo = SeqSet::new();
+            first[1][i] = Some(f.finish());
+            let mut fo = SeqBuilder::new();
             for t in &a.follow[name] {
                 if t == EOF {
-                    fo.insert(EPSILON);
+                    fo.push(EPSILON);
                 } else {
-                    fo.insert(w_push(EPSILON, tok_ids[t.as_str()]));
+                    fo.push(w_push(EPSILON, tok_ids[t.as_str()]));
                 }
             }
-            follow[1].insert(name, fo);
+            follow[1][i] = Some(fo.finish());
         }
 
-        La {
+        Some(La {
             a,
             k,
             tok_ids,
             tok_names,
+            index,
+            names: prods.iter().map(|p| p.name.as_str()).collect(),
+            alts,
+            nullable: prods.iter().map(|p| a.nullable.contains(&p.name)).collect(),
             first,
             follow,
             occ,
+        })
+    }
+
+    fn min_len(&self, s: Sym) -> usize {
+        match s {
+            Sym::Tok(_) => 1,
+            Sym::Nt(n) => usize::from(!self.nullable[n]),
         }
     }
 
-    fn min_len(&self, n: &str) -> usize {
-        usize::from(!self.a.nullable.contains(n))
-    }
-
     /// FIRST_j ⊕-fold of a flat sequence, starting from {ε}.
-    fn fold_seq(&self, j: usize, seq: &[Term]) -> SeqSet {
-        let mut acc = SeqSet::new();
-        acc.insert(EPSILON);
-        for term in seq {
+    fn fold_seq(&self, j: usize, seq: &[Sym]) -> SeqSet {
+        let mut acc = SeqSet::epsilon();
+        for &sym in seq {
             // Minimum element is the shortest word; if even it is full,
             // nothing can be extended any further.
-            if acc.words.iter().next().is_none_or(|&w| w_len(w) == j) {
+            if acc.words.first().is_none_or(|&w| w_len(w) == j) {
                 break;
             }
-            let mut next = SeqSet::new();
+            let mut next = SeqBuilder::new();
             next.complete = acc.complete;
-            match term {
-                Term::Token(t) => {
-                    let id = self.tok_ids[t.as_str()];
+            match sym {
+                Sym::Tok(id) => {
                     for &u in &acc.words {
-                        if w_len(u) == j {
-                            next.insert(u);
-                        } else {
-                            next.insert(w_push(u, id));
-                        }
+                        next.push(if w_len(u) == j { u } else { w_push(u, id) });
                     }
                 }
-                Term::NonTerminal(n) => {
+                Sym::Nt(n) => {
                     for &u in &acc.words {
                         let l = w_len(u);
                         if l == j {
-                            next.insert(u);
+                            next.push(u);
                             continue;
                         }
-                        match self.first[j - l].get(n.as_str()) {
+                        match &self.first[j - l][n] {
                             Some(src) => {
                                 next.complete &= src.complete;
                                 for &v in &src.words {
-                                    next.insert(w_concat(j, u, v));
+                                    next.push(w_concat(j, u, v));
                                 }
                             }
                             // Not demanded — should not happen; treat as
@@ -368,142 +537,135 @@ impl<'a> La<'a> {
                         }
                     }
                 }
-                _ => unreachable!("lookahead runs on flattened grammars"),
             }
-            acc = next;
+            acc = next.finish();
         }
         acc
     }
 
+    /// FIRST_j of production `n`: the union of its alternatives' folds.
+    fn first_of(&self, j: usize, n: usize) -> SeqSet {
+        let mut acc = SeqBuilder::new();
+        for seq in &self.alts[n] {
+            acc.absorb(&self.fold_seq(j, seq));
+        }
+        acc.finish()
+    }
+
     /// Register FIRST demands for every symbol contributing to the first
     /// `budget` tokens of `seq`.
-    #[allow(clippy::too_many_arguments)]
     fn walk_demand(
         &self,
-        seq: &[Term],
+        seq: &[Sym],
         budget: usize,
-        fseen: &mut BTreeSet<(&'a str, usize)>,
-        fwork: &mut Vec<(&'a str, usize)>,
+        fdem: &mut [Vec<bool>],
+        fwork: &mut Vec<(usize, usize)>,
     ) {
         let mut budget = budget;
-        for term in seq {
+        for &sym in seq {
             if budget == 0 {
                 break;
             }
-            match term {
-                Term::Token(_) => budget -= 1,
-                Term::NonTerminal(n) => {
-                    let n: &'a str = self
-                        .a
-                        .flat
-                        .production(n)
-                        .map(|p| p.name.as_str())
-                        .unwrap_or_default();
-                    for jj in 2..=budget {
-                        if fseen.insert((n, jj)) {
-                            fwork.push((n, jj));
-                        }
-                    }
-                    budget = budget.saturating_sub(self.min_len(n));
-                }
-                _ => unreachable!(),
+            if let Sym::Nt(n) = sym {
+                demand_levels(fdem, fwork, n, budget);
             }
+            budget = budget.saturating_sub(self.min_len(sym));
         }
     }
 
-    /// Demand closure + fixpoint computation of the deep FIRST/FOLLOW
-    /// tables needed to classify `conflicted` at depth `self.k`.
-    fn compute(&mut self, conflicted: &[&'a str]) {
+    /// Demand closure: which FIRST_j and FOLLOW_j entries (j ≥ 2)
+    /// classifying `conflicted` at depth `self.k` reads, as
+    /// `[level][production]` flags.
+    fn demand(&self, conflicted: &[usize]) -> (Vec<Vec<bool>>, Vec<Vec<bool>>) {
         let k = self.k;
-        let mut fseen: BTreeSet<(&'a str, usize)> = BTreeSet::new();
-        let mut fwork: Vec<(&'a str, usize)> = Vec::new();
-        let mut wseen: BTreeSet<(&'a str, usize)> = BTreeSet::new();
-        let mut wwork: Vec<(&'a str, usize)> = Vec::new();
+        let mut fdem = vec![vec![false; self.alts.len()]; k + 1];
+        let mut wdem = vec![vec![false; self.alts.len()]; k + 1];
+        let mut fwork: Vec<(usize, usize)> = Vec::new();
+        let mut wwork: Vec<(usize, usize)> = Vec::new();
 
-        for &name in conflicted {
-            if let Some(p) = self.a.flat.production(name) {
-                for alt in &p.alternatives {
-                    self.walk_demand(&alt.seq, k, &mut fseen, &mut fwork);
-                }
+        for &n in conflicted {
+            for seq in &self.alts[n] {
+                self.walk_demand(seq, k, &mut fdem, &mut fwork);
             }
-            for jj in 2..=k {
-                if wseen.insert((name, jj)) {
-                    wwork.push((name, jj));
-                }
-            }
+            demand_levels(&mut wdem, &mut wwork, n, k);
         }
 
         loop {
             if let Some((n, j)) = fwork.pop() {
-                if let Some(p) = self.a.flat.production(n) {
-                    for alt in &p.alternatives {
-                        self.walk_demand(&alt.seq, j, &mut fseen, &mut fwork);
-                    }
+                for seq in &self.alts[n] {
+                    self.walk_demand(seq, j, &mut fdem, &mut fwork);
                 }
                 continue;
             }
             if let Some((n, j)) = wwork.pop() {
-                if let Some(occs) = self.occ.get(n) {
-                    let occs = occs.clone();
-                    for (pi, ai, pos) in occs {
-                        let p = &self.a.flat.productions()[pi];
-                        let rest = &p.alternatives[ai].seq[pos + 1..];
-                        self.walk_demand(rest, j, &mut fseen, &mut fwork);
-                        let restmin: usize = rest
-                            .iter()
-                            .map(|t| match t {
-                                Term::Token(_) => 1,
-                                Term::NonTerminal(m) => self.min_len(m),
-                                _ => unreachable!(),
-                            })
-                            .sum();
-                        let up = j.saturating_sub(restmin);
-                        for jj in 2..=up {
-                            if wseen.insert((p.name.as_str(), jj)) {
-                                wwork.push((p.name.as_str(), jj));
-                            }
-                        }
-                    }
+                for &(pi, ai, pos) in &self.occ[n] {
+                    let rest = &self.alts[pi][ai][pos + 1..];
+                    self.walk_demand(rest, j, &mut fdem, &mut fwork);
+                    let restmin: usize = rest.iter().map(|&s| self.min_len(s)).sum();
+                    demand_levels(&mut wdem, &mut wwork, pi, j.saturating_sub(restmin));
                 }
                 continue;
             }
             break;
         }
+        (fdem, wdem)
+    }
 
-        // Pre-seed every demanded entry as empty-but-complete so that
-        // self-referential lookups during the first fixpoint iteration do
-        // not permanently poison completeness flags (the `None` branches
-        // below then only fire for genuinely un-demanded symbols). The
-        // optimistic seed is sound: flags are recomputed from scratch every
-        // iteration and only flip false when a cap is actually hit.
-        for &(n, j) in &fseen {
-            self.first[j].entry(n).or_insert_with(SeqSet::new);
+    /// Demand closure, then the deep FIRST/FOLLOW tables needed to
+    /// classify `conflicted` at depth `self.k`, level by level.
+    fn compute(&mut self, conflicted: &[usize]) {
+        let (fdem, wdem) = self.demand(conflicted);
+        let members = |dem: &[bool]| -> Vec<usize> { (0..dem.len()).filter(|&n| dem[n]).collect() };
+        for j in 2..=self.k {
+            self.first_level(j, &members(&fdem[j]));
+            self.follow_level(j, &members(&wdem[j]));
         }
-        for &(n, j) in &wseen {
-            self.follow[j].entry(n).or_insert_with(SeqSet::new);
-        }
+    }
 
-        // FIRST fixpoints, level by level (level j uses levels < j, fixed).
-        for j in 2..=k {
-            let names: Vec<&'a str> = fseen
-                .iter()
-                .filter(|(_, jj)| *jj == j)
-                .map(|(n, _)| *n)
-                .collect();
-            loop {
-                let mut changed = false;
-                for &name in &names {
-                    let Some(p) = self.a.flat.production(name) else { continue };
-                    let mut acc = SeqSet::new();
-                    for alt in &p.alternatives {
-                        let s = self.fold_seq(j, &alt.seq);
-                        acc.complete &= s.complete;
-                        for &w in &s.words {
-                            acc.insert(w);
+    /// FIRST_j of `members`, the demanded nonterminals at level j ≥ 2, one
+    /// left-corner component at a time, successors first.
+    fn first_level(&mut self, j: usize, members: &[usize]) {
+        let local = local_index(self.alts.len(), members);
+        let corners: Vec<Vec<usize>> = members
+            .iter()
+            .map(|&n| {
+                let mut out = Vec::new();
+                for seq in &self.alts[n] {
+                    for &sym in seq {
+                        let Sym::Nt(m) = sym else { break };
+                        if let Some(c) = local[m] {
+                            out.push(c);
+                        }
+                        if !self.nullable[m] {
+                            break;
                         }
                     }
-                    if self.first[j].get(name) != Some(&acc) {
-                        self.first[j].insert(name, acc);
+                }
+                out
+            })
+            .collect();
+        for comp in sccs(&corners) {
+            if let [i] = comp[..] {
+                if !corners[i].contains(&i) {
+                    let n = members[i];
+                    self.first[j][n] = Some(self.first_of(j, n));
+                    continue;
+                }
+            }
+            // Left recursion: iterate from empty-but-complete seeds in
+            // name order until a pass changes nothing. Flags are recomputed
+            // every pass and only flip false when a cap is actually hit.
+            let mut comp: Vec<usize> = comp.iter().map(|&i| members[i]).collect();
+            comp.sort_by_key(|&n| self.names[n]);
+            for &n in &comp {
+                self.first[j][n] = Some(SeqBuilder::new().finish());
+            }
+            loop {
+                let mut changed = false;
+                for &n in &comp {
+                    let acc = self.first_of(j, n);
+                    if self.first[j][n].as_ref() != Some(&acc) {
+                        self.first[j][n] = Some(acc);
                         changed = true;
                     }
                 }
@@ -512,54 +674,80 @@ impl<'a> La<'a> {
                 }
             }
         }
+    }
 
-        // FOLLOW fixpoints, level by level.
-        let start = self.a.flat.start().to_string();
-        for j in 2..=k {
-            let names: Vec<&'a str> = wseen
-                .iter()
-                .filter(|(_, jj)| *jj == j)
-                .map(|(n, _)| *n)
-                .collect();
-            loop {
-                let mut changed = false;
-                for &name in &names {
-                    let mut acc = SeqSet::new();
-                    if name == start {
-                        acc.insert(EPSILON);
+    /// FOLLOW_j of `members`, the demanded nonterminals at level j ≥ 2.
+    /// FOLLOW_j(n) is n's base set — the start's ε plus each occurrence's
+    /// fold over FOLLOW of shallower levels — united with FOLLOW_j of every
+    /// parent whose occurrence of n ends in a nullable rest. That is
+    /// reachability, so one union per component of the parent graph,
+    /// parents first, finishes the level.
+    fn follow_level(&mut self, j: usize, members: &[usize]) {
+        let local = local_index(self.alts.len(), members);
+        let start = self.index[self.a.flat.start()];
+        let mut bases = Vec::with_capacity(members.len());
+        let mut parents: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
+        for (i, &n) in members.iter().enumerate() {
+            let mut acc = SeqBuilder::new();
+            if n == start {
+                acc.push(EPSILON);
+            }
+            for &(pi, ai, pos) in &self.occ[n] {
+                let folded = self.fold_seq(j, &self.alts[pi][ai][pos + 1..]);
+                acc.complete &= folded.complete;
+                for &w in &folded.words {
+                    let l = w_len(w);
+                    if l == j {
+                        acc.push(w);
+                        continue;
                     }
-                    if let Some(occs) = self.occ.get(name) {
-                        for &(pi, ai, pos) in occs {
-                            let p = &self.a.flat.productions()[pi];
-                            let rest = &p.alternatives[ai].seq[pos + 1..];
-                            let folded = self.fold_seq(j, rest);
-                            acc.complete &= folded.complete;
-                            for &w in &folded.words {
-                                let l = w_len(w);
-                                if l == j {
-                                    acc.insert(w);
-                                } else {
-                                    match self.follow[j - l].get(p.name.as_str()) {
-                                        Some(fs) => {
-                                            acc.complete &= fs.complete;
-                                            for &v in &fs.words {
-                                                acc.insert(w_concat(j, w, v));
-                                            }
-                                        }
-                                        None => acc.complete = false,
-                                    }
-                                }
+                    if l == 0 {
+                        match local[pi] {
+                            Some(p) => parents[i].push(p),
+                            None => acc.complete = false,
+                        }
+                        continue;
+                    }
+                    match &self.follow[j - l][pi] {
+                        Some(fs) => {
+                            acc.complete &= fs.complete;
+                            for &v in &fs.words {
+                                acc.push(w_concat(j, w, v));
                             }
                         }
-                    }
-                    if self.follow[j].get(name) != Some(&acc) {
-                        self.follow[j].insert(name, acc);
-                        changed = true;
+                        None => acc.complete = false,
                     }
                 }
-                if !changed {
-                    break;
-                }
+            }
+            bases.push(acc.finish());
+        }
+
+        let comps = sccs(&parents);
+        let mut comp_of = vec![0; members.len()];
+        for (c, comp) in comps.iter().enumerate() {
+            for &i in comp {
+                comp_of[i] = c;
+            }
+        }
+        for (c, comp) in comps.iter().enumerate() {
+            let mut acc = SeqBuilder::new();
+            let mut outside: Vec<usize> = Vec::new();
+            for &i in comp {
+                acc.absorb(&bases[i]);
+                outside.extend(parents[i].iter().filter(|&&p| comp_of[p] != c));
+            }
+            outside.sort_unstable();
+            outside.dedup();
+            for p in outside {
+                acc.absorb(
+                    self.follow[j][members[p]]
+                        .as_ref()
+                        .expect("parents come first"),
+                );
+            }
+            let set = acc.finish();
+            for &i in comp {
+                self.follow[j][members[i]] = Some(set.clone());
             }
         }
     }
@@ -570,7 +758,8 @@ impl<'a> La<'a> {
             .collect()
     }
 
-    fn classify(&self, name: &'a str, conflict: &BTreeSet<&str>) -> Decision {
+    fn classify(&self, n: usize, conflict: &BTreeSet<&str>) -> Decision {
+        let k = self.k;
         let conflict_eof = conflict.contains(EOF);
         let cids: BTreeSet<u16> = conflict
             .iter()
@@ -585,29 +774,27 @@ impl<'a> La<'a> {
             }
         };
 
-        let p = self.a.flat.production(name).expect("conflicted production exists");
         // Per alternative: (full FIRST_k fold, conflict-restricted la set).
-        let per_alt: Vec<(SeqSet, SeqSet)> = p
-            .alternatives
+        let per_alt: Vec<(SeqSet, SeqSet)> = self.alts[n]
             .iter()
-            .map(|alt| {
-                let f = self.fold_seq(self.k, &alt.seq);
-                let mut lac = SeqSet::new();
+            .map(|seq| {
+                let f = self.fold_seq(k, seq);
+                let mut lac = SeqBuilder::new();
                 lac.complete = f.complete;
                 for &w in &f.words {
                     let l = w_len(w);
-                    if l == self.k {
+                    if l == k {
                         if in_conflict(w) {
-                            lac.insert(w);
+                            lac.push(w);
                         }
                     } else {
-                        match self.follow[self.k - l].get(name) {
+                        match &self.follow[k - l][n] {
                             Some(fs) => {
                                 lac.complete &= fs.complete;
                                 for &v in &fs.words {
-                                    let w2 = w_concat(self.k, w, v);
+                                    let w2 = w_concat(k, w, v);
                                     if in_conflict(w2) {
-                                        lac.insert(w2);
+                                        lac.push(w2);
                                     }
                                 }
                             }
@@ -615,34 +802,29 @@ impl<'a> La<'a> {
                         }
                     }
                 }
-                (f, lac)
+                (f, lac.finish())
             })
             .collect();
 
-        let decision = |outcome| Decision {
-            production: name.to_string(),
-            synthetic: is_synthetic(name),
-            conflict_tokens: conflict.iter().map(|t| t.to_string()).collect(),
-            outcome,
-        };
+        let decision = |outcome| Decision::new(self.names[n], conflict, outcome);
 
-        for k2 in 2..=self.k {
+        for k2 in 2..=k {
             let tr: Vec<SeqSet> = per_alt
                 .iter()
                 .map(|(_, lac)| {
-                    let mut s = SeqSet::new();
+                    let mut s = SeqBuilder::new();
                     s.complete = lac.complete;
                     for &w in &lac.words {
-                        s.insert(w_trunc(k2, w));
+                        s.push(w_trunc(k2, w));
                     }
-                    s
+                    s.finish()
                 })
                 .collect();
             if tr.iter().any(|s| !s.complete) {
                 continue;
             }
             let disjoint = (0..tr.len()).all(|i| {
-                (i + 1..tr.len()).all(|j| tr[i].words.intersection(&tr[j].words).next().is_none())
+                (i + 1..tr.len()).all(|j| first_common(&tr[i].words, &tr[j].words).is_none())
             });
             if !disjoint {
                 continue;
@@ -680,7 +862,7 @@ impl<'a> La<'a> {
         let mut best: Option<(Word, (usize, usize))> = None;
         for i in 0..per_alt.len() {
             for j in i + 1..per_alt.len() {
-                if let Some(&w) = per_alt[i].1.words.intersection(&per_alt[j].1.words).next() {
+                if let Some(w) = first_common(&per_alt[i].1.words, &per_alt[j].1.words) {
                     if best.is_none_or(|(bw, _)| w < bw) {
                         best = Some((w, (i, j)));
                     }
@@ -691,11 +873,30 @@ impl<'a> La<'a> {
             Some((w, pair)) => decision(Outcome::Residual {
                 alternatives: pair,
                 witness: self.names_of(w),
-                witness_eof: w_len(w) < self.k,
+                witness_eof: w_len(w) < k,
             }),
             None => decision(Outcome::Saturated),
         }
     }
+}
+
+/// Demand production `n` at levels 2..=`upto` of `dem`, queueing the
+/// entries that were not demanded yet.
+fn demand_levels(dem: &mut [Vec<bool>], work: &mut Vec<(usize, usize)>, n: usize, upto: usize) {
+    for (j, level) in dem.iter_mut().enumerate().take(upto + 1).skip(2) {
+        if !std::mem::replace(&mut level[n], true) {
+            work.push((n, j));
+        }
+    }
+}
+
+/// Position of each of `members` in the list, by production index.
+fn local_index(productions: usize, members: &[usize]) -> Vec<Option<usize>> {
+    let mut local = vec![None; productions];
+    for (i, &n) in members.iter().enumerate() {
+        local[n] = Some(i);
+    }
+    local
 }
 
 /// Run the LL(k) analysis at depth `k` (clamped to 1..=[`K_MAX`]) over a
@@ -705,6 +906,15 @@ impl<'a> La<'a> {
 /// fixpoints terminate) but their classifications are not meaningful for
 /// parsing — callers gate on `analysis.left_recursion` being empty.
 pub fn analyze_lookahead(a: &GrammarAnalysis, k: usize) -> LookaheadAnalysis {
+    analyze_with(a, k, La::compute)
+}
+
+/// [`analyze_lookahead`] with the FIRST_k/FOLLOW_k evaluation supplied.
+fn analyze_with<'a>(
+    a: &'a GrammarAnalysis,
+    k: usize,
+    compute: fn(&mut La<'a>, &[usize]),
+) -> LookaheadAnalysis {
     let k = k.clamp(1, K_MAX);
     if a.conflicts.is_empty() {
         return LookaheadAnalysis {
@@ -723,12 +933,21 @@ pub fn analyze_lookahead(a: &GrammarAnalysis, k: usize) -> LookaheadAnalysis {
             .or_default()
             .insert(&c.token);
     }
-    let mut la = La::new(a, k);
-    la.compute(&order);
-    let decisions = order
-        .iter()
-        .map(|&name| la.classify(name, &tokens_by[name]))
-        .collect();
+    let decisions = match La::new(a, k) {
+        Some(mut la) => {
+            let conflicted: Vec<usize> = order.iter().map(|&name| la.index[name]).collect();
+            compute(&mut la, &conflicted);
+            conflicted
+                .iter()
+                .zip(&order)
+                .map(|(&n, &name)| la.classify(n, &tokens_by[name]))
+                .collect()
+        }
+        None => order
+            .iter()
+            .map(|&name| Decision::new(name, &tokens_by[name], Outcome::Saturated))
+            .collect(),
+    };
     LookaheadAnalysis { k, decisions }
 }
 
@@ -787,9 +1006,235 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::dsl::parse_grammar;
+    use crate::ir::{Alternative, Grammar, Production};
+    use crate::print::to_dsl;
+    use proptest::prelude::*;
 
     fn run(src: &str, k: usize) -> LookaheadAnalysis {
         analyze_lookahead(&analyze(&parse_grammar(src).unwrap()).unwrap(), k)
+    }
+
+    impl La<'_> {
+        /// Reference evaluation for the dependency order: a round-robin
+        /// fixpoint that recomputes every demanded FIRST_j, then every
+        /// FOLLOW_j, in name order until a whole pass changes nothing.
+        fn compute_round_robin(&mut self, conflicted: &[usize]) {
+            let (fdem, wdem) = self.demand(conflicted);
+            let by_name = |dem: &[bool]| -> Vec<usize> {
+                let mut names: Vec<usize> = (0..dem.len()).filter(|&n| dem[n]).collect();
+                names.sort_by_key(|&n| self.names[n]);
+                names
+            };
+            let fnames: Vec<Vec<usize>> = fdem.iter().map(|d| by_name(d)).collect();
+            let wnames: Vec<Vec<usize>> = wdem.iter().map(|d| by_name(d)).collect();
+
+            // Pre-seed every demanded entry as empty-but-complete.
+            for (j, names) in fnames.iter().enumerate() {
+                for &n in names {
+                    self.first[j][n] = Some(SeqBuilder::new().finish());
+                }
+            }
+            for (j, names) in wnames.iter().enumerate() {
+                for &n in names {
+                    self.follow[j][n] = Some(SeqBuilder::new().finish());
+                }
+            }
+
+            for (j, names) in fnames.iter().enumerate().skip(2) {
+                loop {
+                    let mut changed = false;
+                    for &n in names {
+                        let acc = self.first_of(j, n);
+                        if self.first[j][n].as_ref() != Some(&acc) {
+                            self.first[j][n] = Some(acc);
+                            changed = true;
+                        }
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+            }
+
+            let start = self.index[self.a.flat.start()];
+            for (j, names) in wnames.iter().enumerate().skip(2) {
+                loop {
+                    let mut changed = false;
+                    for &n in names {
+                        let mut acc = SeqBuilder::new();
+                        if n == start {
+                            acc.push(EPSILON);
+                        }
+                        for &(pi, ai, pos) in &self.occ[n] {
+                            let folded = self.fold_seq(j, &self.alts[pi][ai][pos + 1..]);
+                            acc.complete &= folded.complete;
+                            for &w in &folded.words {
+                                let l = w_len(w);
+                                if l == j {
+                                    acc.push(w);
+                                    continue;
+                                }
+                                match &self.follow[j - l][pi] {
+                                    Some(fs) => {
+                                        acc.complete &= fs.complete;
+                                        for &v in &fs.words {
+                                            acc.push(w_concat(j, w, v));
+                                        }
+                                    }
+                                    None => acc.complete = false,
+                                }
+                            }
+                        }
+                        let acc = acc.finish();
+                        if self.follow[j][n].as_ref() != Some(&acc) {
+                            self.follow[j][n] = Some(acc);
+                            changed = true;
+                        }
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    fn round_robin(a: &GrammarAnalysis, k: usize) -> LookaheadAnalysis {
+        analyze_with(a, k, La::compute_round_robin)
+    }
+
+    /// Random term over nonterminals a, b, c and tokens X, Y, Z.
+    fn arb_term(depth: u32) -> BoxedStrategy<Term> {
+        let leaf = prop_oneof![
+            prop::sample::select(vec!["a", "b", "c"]).prop_map(Term::nt),
+            prop::sample::select(vec!["X", "Y", "Z"]).prop_map(Term::tok),
+        ];
+        if depth == 0 {
+            return leaf.boxed();
+        }
+        let inner = arb_term(depth - 1);
+        prop_oneof![
+            4 => leaf,
+            1 => prop::collection::vec(inner.clone(), 1..3).prop_map(Term::Optional),
+            1 => prop::collection::vec(inner.clone(), 1..3).prop_map(Term::Star),
+            1 => prop::collection::vec(inner.clone(), 1..3).prop_map(Term::Plus),
+            1 => prop::collection::vec(prop::collection::vec(inner, 1..3), 2..3)
+                .prop_map(Term::Group),
+        ]
+        .boxed()
+    }
+
+    /// Random grammar defining a, b, c: nullable chains, FOLLOW cycles and
+    /// left recursion all occur.
+    fn arb_grammar() -> impl Strategy<Value = Grammar> {
+        let alt = prop::collection::vec(arb_term(2), 0..4).prop_map(Alternative::new);
+        let prod = prop::collection::vec(alt, 1..3);
+        (prod.clone(), prod.clone(), prod).prop_map(|(a, b, c)| {
+            let mut g = Grammar::new("random", "a");
+            g.add_production(Production::new("a", a));
+            g.add_production(Production::new("b", b));
+            g.add_production(Production::new("c", c));
+            g
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Dependency-ordered evaluation classifies exactly like the
+        /// round-robin fixpoint, at every depth.
+        #[test]
+        fn dependency_order_matches_round_robin(g in arb_grammar()) {
+            let a = analyze(&g).unwrap();
+            for k in 1..=K_MAX {
+                prop_assert_eq!(
+                    analyze_lookahead(&a, k),
+                    round_robin(&a, k),
+                    "k={}\n{}",
+                    k,
+                    to_dsl(&g)
+                );
+            }
+        }
+    }
+
+    /// `t` and `u` over 150 distinct filler tokens each: `t t` alone
+    /// offers 22,500 words at k=3, past the cap.
+    fn with_fillers(rules: &str) -> String {
+        let alts = |from: usize| {
+            (from..from + 150)
+                .map(|i| format!("T{i}"))
+                .collect::<Vec<_>>()
+                .join(" | ")
+        };
+        format!(
+            "grammar g; start s; {rules} t : {} ; u : {} ;",
+            alts(0),
+            alts(150)
+        )
+    }
+
+    fn outcome_of<'l>(la: &'l LookaheadAnalysis, production: &str) -> &'l Outcome {
+        &la.decisions
+            .iter()
+            .find(|d| d.production == production)
+            .unwrap_or_else(|| panic!("no decision for {production}: {la:?}"))
+            .outcome
+    }
+
+    fn residual_on(witness: &[&str]) -> Outcome {
+        Outcome::Residual {
+            alternatives: (0, 1),
+            witness: witness.iter().map(|s| s.to_string()).collect(),
+            witness_eof: false,
+        }
+    }
+
+    #[test]
+    fn first_side_cap_saturates() {
+        let a = analyze(&parse_grammar(&with_fillers("s : A t t | A u u ;")).unwrap()).unwrap();
+        let la = analyze_lookahead(&a, K_MAX);
+        assert_eq!(outcome_of(&la, "s"), &Outcome::Saturated);
+        assert_eq!(la.saturated(), 1);
+        assert_eq!(la, round_robin(&a, K_MAX));
+    }
+
+    #[test]
+    fn follow_cycle_cap_saturates_the_star_exit() {
+        // FOLLOW_3(y) holds the 22,500 `t t E1` words; it reaches
+        // x__star1 through the y → x → y cycle and caps it there.
+        let src = with_fillers("s : y t t E1 | y u u E2 ; y : C x ; x : (C D)* C? y? ;");
+        let a = analyze(&parse_grammar(&src).unwrap()).unwrap();
+        let la = analyze_lookahead(&a, K_MAX);
+        assert_eq!(outcome_of(&la, "x__star1"), &Outcome::Saturated);
+        assert_eq!(outcome_of(&la, "s"), &residual_on(&["C", "C", "C"]));
+        assert_eq!(outcome_of(&la, "x__opt2"), &residual_on(&["C", "C", "C"]));
+        assert_eq!(la, round_robin(&a, K_MAX));
+    }
+
+    #[test]
+    fn more_tokens_than_ids_saturates_instead_of_aliasing() {
+        // 65,538 distinct tokens: with wrapping ids `Y` would alias `X`,
+        // and `s` would report a residual witness `A X` at k=2.
+        let fillers = (0..65_535)
+            .map(|i| format!("T{i}"))
+            .collect::<Vec<_>>()
+            .join(" | ");
+        let src = format!("grammar g; start s; s : A X | A g ; f : {fillers} ; g : Y ;");
+        let a = analyze(&parse_grammar(&src).unwrap()).unwrap();
+        for k in [2, K_MAX] {
+            let la = analyze_lookahead(&a, k);
+            assert_eq!(la.decisions.len(), 1);
+            assert_eq!(la.decisions[0].production, "s");
+            assert_eq!(la.decisions[0].conflict_tokens, ["A"]);
+            assert_eq!(la.decisions[0].outcome, Outcome::Saturated);
+        }
+        // Without the filler the same decision resolves at k=2.
+        let la = run("grammar g; start s; s : A X | A g ; g : Y ;", 2);
+        assert!(matches!(
+            la.decisions[0].outcome,
+            Outcome::Resolved { k: 2, .. }
+        ));
     }
 
     fn entry(word: &[&str], alt: usize) -> DispatchEntry {
@@ -817,14 +1262,71 @@ mod tests {
 
     #[test]
     fn seqset_cap_keeps_smallest_and_flags_incomplete() {
-        let mut s = SeqSet::new();
+        let mut b = SeqBuilder::new();
         for t in 0..CAP as u64 + 5 {
-            s.insert((1 << 48) | ((t % 60_000) << 32));
+            b.push((1 << 48) | ((t % 60_000) << 32));
         }
+        let s = b.finish();
         assert!(!s.complete);
         assert_eq!(s.words.len(), CAP);
         // Smallest word survives.
         assert!(s.words.contains(&(1 << 48)));
+    }
+
+    #[test]
+    fn seqset_cap_counts_distinct_words_and_survives_early_capping() {
+        // Exactly CAP distinct words, each pushed five times in descending
+        // order (so the buffer caps early more than once), is complete.
+        let mut b = SeqBuilder::new();
+        for _ in 0..5 {
+            for t in (0..CAP as u64).rev() {
+                b.push((2 << 48) | (t << 16));
+            }
+        }
+        let s = b.finish();
+        assert!(s.complete);
+        assert_eq!(s.words.len(), CAP);
+        assert!(
+            s.words.windows(2).all(|p| p[0] < p[1]),
+            "sorted and deduplicated"
+        );
+        // One more distinct word, pushed first and so capped away early:
+        // the set is now incomplete and still holds the CAP smallest.
+        let mut b = SeqBuilder::new();
+        b.push((3 << 48) | 1);
+        for _ in 0..5 {
+            for &w in &s.words {
+                b.push(w);
+            }
+        }
+        assert_eq!(
+            b.finish(),
+            SeqSet {
+                words: s.words.clone(),
+                complete: false
+            }
+        );
+    }
+
+    #[test]
+    fn first_common_is_the_smallest_shared_word() {
+        assert_eq!(first_common(&[1, 4, 6, 9], &[2, 6, 9]), Some(6));
+        assert_eq!(first_common(&[1, 3], &[2, 4]), None);
+        assert_eq!(first_common(&[], &[2]), None);
+    }
+
+    #[test]
+    fn sccs_come_after_everything_they_reach() {
+        // 0 → 1 ⇄ 2 → 3, 3 → 3, and an isolated 4.
+        let succ = vec![vec![1], vec![2], vec![1, 3], vec![3], vec![]];
+        let comps: Vec<Vec<usize>> = sccs(&succ)
+            .into_iter()
+            .map(|mut c| {
+                c.sort_unstable();
+                c
+            })
+            .collect();
+        assert_eq!(comps, [vec![3], vec![1, 2], vec![0], vec![4]]);
     }
 
     #[test]

@@ -34,8 +34,8 @@ use crate::scanner::{LexError, Scanner, Token, TokenKind};
 ///
 /// [`Scanner::relex`] is generic over this so incremental callers that
 /// keep token spans in a rebased representation (true span = stored span
-/// + a per-chunk base offset, so a suffix shift after an edit is O(#chunks)
-/// instead of O(#tokens)) can answer the relex's span queries on demand:
+/// plus a per-chunk base offset, so a suffix shift after an edit is
+/// O(#chunks) instead of O(#tokens)) can answer the relex's span queries on demand:
 /// the relex only reads O(log n) tokens through binary searches plus the
 /// damaged window itself, so no caller needs to materialize absolute
 /// spans for the whole stream first.

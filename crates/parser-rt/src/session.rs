@@ -240,7 +240,7 @@ fn normalize_spans(
     tok_delta: isize,
     delta: isize,
 ) {
-    for i in from..to {
+    for (i, tok) in toks.iter_mut().enumerate().take(to).skip(from) {
         if (fresh_lo..fresh_hi).contains(&i) {
             continue;
         }
@@ -252,8 +252,8 @@ fn normalize_spans(
         let c = chunk_tok_lo.partition_point(|&lo| lo <= old_i) - 1;
         let b = chunks[c].base + extra;
         if b != 0 {
-            toks[i].start = (toks[i].start as isize + b) as usize;
-            toks[i].end = (toks[i].end as isize + b) as usize;
+            tok.start = (tok.start as isize + b) as usize;
+            tok.end = (tok.end as isize + b) as usize;
         }
     }
 }

@@ -65,7 +65,7 @@ impl TreeBuffers {
     /// Build the arena directly from a *chunked* event representation: a
     /// root wrapper around a sequence of per-chunk event slices whose
     /// token indices are chunk-relative (absolute index = chunk-relative
-    /// + the chunk's `tok_base`). Equivalent to flattening the chunks
+    /// plus the chunk's `tok_base`). Equivalent to flattening the chunks
     /// into one root-wrapped stream and calling [`TreeBuffers::build`],
     /// without materializing that stream — this is how a lazily
     /// maintained document's tree is built on first access.
