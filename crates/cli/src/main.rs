@@ -1611,7 +1611,7 @@ fn cmd_format(args: &[String]) -> ExitCode {
 }
 
 /// Corpus throughput sweep over dialect × engine × parse API. `--json`
-/// emits the `sqlweave-bench-parser/v7` document (already validated by the
+/// emits the `sqlweave-bench-parser/v8` document (already validated by the
 /// runner); the default is a human-readable table with the backtrack-rate
 /// column plus one lex-stage block per dialect (the B6/B9 scanner
 /// ablation) and one `sema` row per pair (the B8 parse + name-resolution

@@ -4,16 +4,19 @@
 //! wins per DFA state), which is the right *runtime* behavior but hides
 //! defects a dialect author wants surfaced ahead of time: a rule that can
 //! never be emitted because earlier rules cover its whole language, or a
-//! skip rule whose language collides with a real token. This module runs a
-//! subset construction that keeps the **full** accepting-tag set per DFA
-//! state — rather than only the winning tag — and derives both facts from
-//! it exactly (no approximation: two rules overlap iff some reachable DFA
-//! state accepts both).
+//! skip rule whose language collides with a real token. This module takes
+//! the NFA state set behind every DFA state from the scanner's own subset
+//! construction ([`crate::dfa`]), reads off the **full** accepting-tag set
+//! of each — rather than only the winning tag — and derives both facts
+//! from it exactly (no approximation: two rules overlap iff some reachable
+//! DFA state accepts both). One construction serves scanner and lint, so
+//! the per-configuration `lint`/`certify` loop costs what a scanner build's
+//! subset step costs.
 
-use crate::dfa::alphabet_intervals;
+use crate::dfa::determinize;
 use crate::nfa::Nfa;
 use crate::tokenset::{TokenRule, TokenSet, TokenSetError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Result of [`analyze`]: per-rule emittability and pairwise overlaps.
 ///
@@ -68,44 +71,7 @@ pub fn analyze(ts: &TokenSet) -> Result<TokenSetAnalysis, TokenSetError> {
     }
     nfa.finish();
 
-    // Subset construction recording the full accept set per DFA state.
-    let intervals = alphabet_intervals(&nfa);
-    let mut index: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut worklist: Vec<Vec<usize>> = Vec::new();
-    let mut accept_sets: Vec<BTreeSet<usize>> = Vec::new();
-
-    let accepts_of = |nfa: &Nfa, set: &[usize]| -> BTreeSet<usize> {
-        set.iter().filter_map(|&s| nfa.states[s].accept).collect()
-    };
-
-    let start = nfa.eps_closure(&[nfa.start()]);
-    accept_sets.push(accepts_of(&nfa, &start));
-    index.insert(start.clone(), 0);
-    worklist.push(start);
-
-    while let Some(set) = worklist.pop() {
-        for &(lo, _hi) in &intervals {
-            // Any character of the interval is representative (intervals
-            // are cut at every class boundary).
-            let mut moved: Vec<usize> = Vec::new();
-            for &s in &set {
-                for (class, t) in &nfa.states[s].trans {
-                    if class.contains(lo) && !moved.contains(t) {
-                        moved.push(*t);
-                    }
-                }
-            }
-            if moved.is_empty() {
-                continue;
-            }
-            let closed = nfa.eps_closure(&moved);
-            if !index.contains_key(&closed) {
-                index.insert(closed.clone(), accept_sets.len());
-                accept_sets.push(accepts_of(&nfa, &closed));
-                worklist.push(closed);
-            }
-        }
-    }
+    let (_, sets) = determinize(&nfa);
 
     // A rule is winnable iff it is the highest-priority (smallest) tag of
     // some reachable accepting state: maximal-munch keeps extending the
@@ -113,12 +79,13 @@ pub fn analyze(ts: &TokenSet) -> Result<TokenSetAnalysis, TokenSetError> {
     // tag, so a rule that is nowhere the smallest is never emitted.
     let mut winnable = vec![false; rules.len()];
     let mut overlaps: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for set in &accept_sets {
-        if let Some(&winner) = set.iter().next() {
+    for set in &sets {
+        let accepts: BTreeSet<usize> = set.iter().filter_map(|&s| nfa.states[s].accept).collect();
+        if let Some(&winner) = accepts.iter().next() {
             winnable[winner] = true;
         }
-        for &a in set {
-            for &b in set.iter().filter(|&&b| b > a) {
+        for &a in &accepts {
+            for &b in accepts.iter().filter(|&&b| b > a) {
                 overlaps.insert((a, b));
             }
         }

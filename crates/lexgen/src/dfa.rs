@@ -6,7 +6,7 @@
 //! transitions are per-interval — typically a few dozen intervals for a SQL
 //! token set instead of 1.1M code points.
 
-use crate::nfa::Nfa;
+use crate::nfa::{Nfa, StateId};
 use std::collections::HashMap;
 
 /// A deterministic automaton with tagged accepting states.
@@ -30,52 +30,7 @@ pub struct DfaState {
 impl Dfa {
     /// Build a DFA from a finished NFA.
     pub fn from_nfa(nfa: &Nfa) -> Dfa {
-        let intervals = alphabet_intervals(nfa);
-        let mut states: Vec<DfaState> = Vec::new();
-        let mut index: HashMap<Vec<usize>, u32> = HashMap::new();
-        let mut worklist: Vec<Vec<usize>> = Vec::new();
-
-        let start_set = nfa.eps_closure(&[nfa.start()]);
-        index.insert(start_set.clone(), 0);
-        states.push(DfaState {
-            trans: vec![None; intervals.len()],
-            accept: accept_of(nfa, &start_set),
-        });
-        worklist.push(start_set);
-
-        while let Some(set) = worklist.pop() {
-            let id = index[&set];
-            for (ii, &(lo, _hi)) in intervals.iter().enumerate() {
-                // Any character of the interval is representative.
-                let mut moved: Vec<usize> = Vec::new();
-                for &s in &set {
-                    for (class, t) in &nfa.states[s].trans {
-                        if class.contains(lo) && !moved.contains(t) {
-                            moved.push(*t);
-                        }
-                    }
-                }
-                if moved.is_empty() {
-                    continue;
-                }
-                let closed = nfa.eps_closure(&moved);
-                let target = match index.get(&closed) {
-                    Some(&t) => t,
-                    None => {
-                        let t = states.len() as u32;
-                        index.insert(closed.clone(), t);
-                        states.push(DfaState {
-                            trans: vec![None; intervals.len()],
-                            accept: accept_of(nfa, &closed),
-                        });
-                        worklist.push(closed);
-                        t
-                    }
-                };
-                states[id as usize].trans[ii] = Some(target);
-            }
-        }
-        Dfa { intervals, states }
+        determinize(nfa).0
     }
 
     /// Map a character to its alphabet interval, if any.
@@ -226,6 +181,154 @@ impl Dfa {
     }
 }
 
+/// Subset construction. Returns the DFA and, for each of its states, the
+/// NFA state set behind it (`sets[i]` is state `i`'s sorted ε-closed set),
+/// for analyses that need every accepting tag rather than the winning one.
+///
+/// Its cost follows the DFA it emits, not |NFA| × intervals per state:
+/// each class range is resolved once to the run of interval indices it
+/// covers, one pass over a state's NFA set fills the move set ("kernel")
+/// of every interval, and each distinct kernel is ε-closed once — so the
+/// dozens of letter intervals that lead into an identifier loop share a
+/// single closure. States are numbered in the discovery order of a LIFO
+/// worklist that visits intervals in ascending order; the tests hold the
+/// result to the plain per-(state, interval) construction state for state.
+pub(crate) fn determinize(nfa: &Nfa) -> (Dfa, Vec<Vec<StateId>>) {
+    let intervals = alphabet_intervals(nfa);
+    // Intervals are cut at every class boundary, so a class range covers
+    // exactly the intervals whose low end lies inside it: a contiguous
+    // run. `runs[first[s]..first[s + 1]]` are state `s`'s transitions as
+    // `(first interval, one past the last, target)`.
+    let mut first = Vec::with_capacity(nfa.states.len() + 1);
+    let mut runs: Vec<(usize, usize, StateId)> = Vec::new();
+    for state in &nfa.states {
+        first.push(runs.len());
+        for (class, target) in &state.trans {
+            for &(lo, hi) in class.ranges() {
+                let a = intervals.partition_point(|iv| iv.0 < lo);
+                let b = intervals.partition_point(|iv| iv.0 <= hi);
+                runs.push((a, b, *target));
+            }
+        }
+    }
+    first.push(runs.len());
+
+    let mut subsets = Subsets {
+        nfa,
+        width: intervals.len(),
+        states: Vec::new(),
+        sets: Vec::new(),
+        index: HashMap::new(),
+        worklist: Vec::new(),
+    };
+    let mut closure = Closure {
+        stamp: vec![0; nfa.states.len()],
+        generation: 0,
+        stack: Vec::new(),
+    };
+    // Kernel → DFA state, in front of the closure.
+    let mut kernels: HashMap<Vec<StateId>, u32> = HashMap::new();
+    // One move set per interval, filled and emptied for every DFA state.
+    let mut buckets: Vec<Vec<StateId>> = vec![Vec::new(); intervals.len()];
+
+    subsets.intern(closure.close(nfa, &[nfa.start()]));
+    while let Some(id) = subsets.worklist.pop() {
+        for &s in &subsets.sets[id as usize] {
+            for &(a, b, target) in &runs[first[s]..first[s + 1]] {
+                for bucket in &mut buckets[a..b] {
+                    bucket.push(target);
+                }
+            }
+        }
+        for (ii, kernel) in buckets.iter_mut().enumerate() {
+            if kernel.is_empty() {
+                continue;
+            }
+            kernel.sort_unstable();
+            kernel.dedup();
+            let next = match kernels.get(kernel.as_slice()) {
+                Some(&next) => next,
+                None => {
+                    let next = subsets.intern(closure.close(nfa, kernel));
+                    kernels.insert(kernel.clone(), next);
+                    next
+                }
+            };
+            subsets.states[id as usize].trans[ii] = Some(next);
+            kernel.clear();
+        }
+    }
+    let Subsets { states, sets, .. } = subsets;
+    (Dfa { intervals, states }, sets)
+}
+
+/// The DFA under construction, keyed by NFA state set.
+struct Subsets<'a> {
+    nfa: &'a Nfa,
+    width: usize,
+    states: Vec<DfaState>,
+    sets: Vec<Vec<StateId>>,
+    index: HashMap<Vec<StateId>, u32>,
+    worklist: Vec<u32>,
+}
+
+impl Subsets<'_> {
+    /// The state for the closed set `set`, created and queued on first sight.
+    fn intern(&mut self, set: Vec<StateId>) -> u32 {
+        if let Some(&id) = self.index.get(&set) {
+            return id;
+        }
+        let id = self.states.len() as u32;
+        self.states.push(DfaState {
+            trans: vec![None; self.width],
+            accept: accept_of(self.nfa, &set),
+        });
+        self.index.insert(set.clone(), id);
+        self.sets.push(set);
+        self.worklist.push(id);
+        id
+    }
+}
+
+/// ε-closure scratch shared by every closure of one construction: a
+/// state counts as visited when its stamp equals the current generation,
+/// so a closure touches only the states it reaches.
+struct Closure {
+    stamp: Vec<u32>,
+    generation: u32,
+    stack: Vec<StateId>,
+}
+
+impl Closure {
+    /// Sorted ε-closure of `seeds`, as [`Nfa::eps_closure`] computes it.
+    fn close(&mut self, nfa: &Nfa, seeds: &[StateId]) -> Vec<StateId> {
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        let generation = self.generation;
+        let mut out = Vec::new();
+        for &s in seeds {
+            if self.stamp[s] != generation {
+                self.stamp[s] = generation;
+                self.stack.push(s);
+            }
+        }
+        while let Some(s) = self.stack.pop() {
+            out.push(s);
+            for &t in &nfa.states[s].eps {
+                if self.stamp[t] != generation {
+                    self.stamp[t] = generation;
+                    self.stack.push(t);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
 /// Smallest accepting tag of an NFA state set.
 fn accept_of(nfa: &Nfa, set: &[usize]) -> Option<usize> {
     set.iter().filter_map(|&s| nfa.states[s].accept).min()
@@ -290,7 +393,11 @@ pub(crate) fn alphabet_intervals(nfa: &Nfa) -> Vec<(char, char)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analyze;
     use crate::regex::parse;
+    use crate::tokenset::{RuleKind, TokenRule, TokenSet};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn dfa_of(patterns: &[&str]) -> Dfa {
         let mut nfa = Nfa::new();
@@ -379,5 +486,273 @@ mod tests {
         let d = dfa_of(&["--[^\n]*"]);
         assert_eq!(d.simulate("-- a comment"), Some((12, 0)));
         assert_eq!(d.simulate("-- a\nrest"), Some((4, 0)));
+    }
+
+    /// The subset construction [`determinize`] replaced, kept verbatim as
+    /// its oracle: every (state, interval) pair re-tests every NFA
+    /// transition and closes its move set from scratch. Each state's NFA
+    /// set is read back off the index.
+    fn reference(nfa: &Nfa) -> (Dfa, Vec<Vec<usize>>) {
+        let intervals = alphabet_intervals(nfa);
+        let mut states: Vec<DfaState> = Vec::new();
+        let mut index: HashMap<Vec<usize>, u32> = HashMap::new();
+        let mut worklist: Vec<Vec<usize>> = Vec::new();
+
+        let start_set = nfa.eps_closure(&[nfa.start()]);
+        index.insert(start_set.clone(), 0);
+        states.push(DfaState {
+            trans: vec![None; intervals.len()],
+            accept: accept_of(nfa, &start_set),
+        });
+        worklist.push(start_set);
+
+        while let Some(set) = worklist.pop() {
+            let id = index[&set];
+            for (ii, &(lo, _hi)) in intervals.iter().enumerate() {
+                // Any character of the interval is representative.
+                let mut moved: Vec<usize> = Vec::new();
+                for &s in &set {
+                    for (class, t) in &nfa.states[s].trans {
+                        if class.contains(lo) && !moved.contains(t) {
+                            moved.push(*t);
+                        }
+                    }
+                }
+                if moved.is_empty() {
+                    continue;
+                }
+                let closed = nfa.eps_closure(&moved);
+                let target = match index.get(&closed) {
+                    Some(&t) => t,
+                    None => {
+                        let t = states.len() as u32;
+                        index.insert(closed.clone(), t);
+                        states.push(DfaState {
+                            trans: vec![None; intervals.len()],
+                            accept: accept_of(nfa, &closed),
+                        });
+                        worklist.push(closed);
+                        t
+                    }
+                };
+                states[id as usize].trans[ii] = Some(target);
+            }
+        }
+        let mut sets = vec![Vec::new(); states.len()];
+        for (set, id) in index {
+            sets[id as usize] = set;
+        }
+        (Dfa { intervals, states }, sets)
+    }
+
+    /// The NFA [`TokenSet::build`] compiles rules in priority order into.
+    fn rule_nfa(rules: &[TokenRule]) -> Nfa {
+        let mut nfa = Nfa::new();
+        for (tag, rule) in rules.iter().enumerate() {
+            nfa.add_pattern(&rule.to_regex().expect("rules are valid"), tag);
+        }
+        nfa.finish();
+        nfa
+    }
+
+    /// `determinize(nfa)` is the reference's DFA — intervals, then every
+    /// state in order — with the same NFA set behind each state. Returns
+    /// those sets.
+    fn same_as_reference(nfa: &Nfa) -> Result<Vec<Vec<usize>>, String> {
+        let (got, got_sets) = determinize(nfa);
+        let (want, want_sets) = reference(nfa);
+        prop_assert_eq!(&got.intervals, &want.intervals);
+        for (i, (g, w)) in got.states.iter().zip(&want.states).enumerate() {
+            prop_assert_eq!(g, w, "state {}: {:?} vs reference {:?}", i, g, w);
+        }
+        prop_assert_eq!(got.states.len(), want.states.len());
+        prop_assert_eq!(&got_sets, &want_sets);
+        Ok(want_sets)
+    }
+
+    /// Checks `ts` with and without its keywords (the second automaton is
+    /// the one `VectorTables::build` compiles), and that the lint analysis
+    /// reads the verdicts off the same sets the reference reaches.
+    fn check_token_set(ts: &TokenSet) -> Result<(), String> {
+        let rules = ts.prioritized();
+        let keywordless: Vec<TokenRule> = rules
+            .iter()
+            .filter(|r| r.kind != RuleKind::Keyword)
+            .cloned()
+            .collect();
+        same_as_reference(&rule_nfa(&keywordless))?;
+        let nfa = rule_nfa(&rules);
+        let sets = same_as_reference(&nfa)?;
+
+        let mut winnable = vec![false; rules.len()];
+        let mut overlaps = BTreeSet::new();
+        for set in &sets {
+            let tags: BTreeSet<usize> = set.iter().filter_map(|&s| nfa.states[s].accept).collect();
+            if let Some(&winner) = tags.first() {
+                winnable[winner] = true;
+            }
+            for &a in &tags {
+                for &b in tags.range(a + 1..) {
+                    overlaps.insert((a, b));
+                }
+            }
+        }
+        let got = analyze(ts).map_err(|e| e.to_string())?;
+        prop_assert_eq!(got.winnable, winnable);
+        prop_assert_eq!(got.overlaps, overlaps.into_iter().collect::<Vec<_>>());
+        Ok(())
+    }
+
+    /// Random regexes over ASCII letters, digits, quotes and multi-byte
+    /// characters, with plain, negated and multi-byte classes.
+    fn arb_pattern() -> impl Strategy<Value = String> {
+        let leaf = prop::sample::select(vec![
+            "a",
+            "b",
+            "Z",
+            "_",
+            "1",
+            "'",
+            "é",
+            "€",
+            "😀",
+            "[a-c]",
+            "[A-Za-z_]",
+            "[0-9]",
+            "[^a]",
+            "[^'\\n]",
+            "[é-ü]",
+            "[^é€]",
+            "[a-zé-ü😀]",
+            "\\d",
+            ".",
+        ])
+        .prop_map(str::to_string);
+        leaf.prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 1..4).prop_map(|v| v.join("")),
+                prop::collection::vec(inner.clone(), 2..4)
+                    .prop_map(|v| format!("({})", v.join("|"))),
+                inner.clone().prop_map(|r| format!("({r})*")),
+                inner.clone().prop_map(|r| format!("({r})+")),
+                inner.prop_map(|r| format!("({r})?")),
+            ]
+        })
+    }
+
+    /// Random token sets mixing case-insensitive keywords over a few
+    /// letters (so they share prefixes and collide with patterns),
+    /// ASCII and multi-byte puncts, patterns and skip patterns.
+    fn arb_token_set() -> impl Strategy<Value = TokenSet> {
+        let keyword =
+            prop::collection::vec(prop::sample::select(vec!['a', 'b', 'c', 'z', '_']), 1..5)
+                .prop_map(|w| (RuleKind::Keyword, w.into_iter().collect::<String>()));
+        let punct = prop::sample::select(vec![
+            "(", ",", "<", "<=", "<>", "||", "-", "--", "/*", "'", "é", "€=",
+        ])
+        .prop_map(|p| (RuleKind::Punct(p.to_string()), String::new()));
+        let rule = prop_oneof![
+            3 => keyword,
+            1 => punct,
+            2 => arb_pattern().prop_map(|p| (RuleKind::Pattern(p), String::new())),
+            1 => arb_pattern().prop_map(|p| (RuleKind::Skip(p), String::new())),
+        ];
+        prop::collection::vec(rule, 1..10).prop_map(|rules| {
+            let mut ts = TokenSet::new();
+            for (i, (kind, spelling)) in rules.into_iter().enumerate() {
+                let name = match kind {
+                    RuleKind::Keyword => spelling.to_ascii_uppercase(),
+                    _ => format!("R{i}"),
+                };
+                ts.add(TokenRule { name, kind })
+                    .expect("generated rules are valid");
+            }
+            ts
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_token_sets_match_the_reference(ts in arb_token_set()) {
+            check_token_set(&ts)?;
+        }
+    }
+
+    /// SQL:2003 reserved words plus a few common non-reserved ones.
+    const SQL_KEYWORDS: &str = "
+        ABS ALL ALLOCATE ALTER AND ANY ARE ARRAY AS ASC ASENSITIVE ASYMMETRIC AT ATOMIC
+        AUTHORIZATION AVG BEGIN BETWEEN BIGINT BINARY BLOB BOOLEAN BOTH BY CALL CALLED
+        CARDINALITY CASCADED CASE CAST CEIL CEILING CHAR CHARACTER CHARACTER_LENGTH
+        CHAR_LENGTH CHECK CLOB CLOSE COALESCE COLLATE COLLECT COLUMN COMMIT CONDITION
+        CONNECT CONSTRAINT CONVERT CORR CORRESPONDING COUNT COVAR_POP COVAR_SAMP CREATE
+        CROSS CUBE CUME_DIST CURRENT CURRENT_DATE CURRENT_DEFAULT_TRANSFORM_GROUP
+        CURRENT_PATH CURRENT_ROLE CURRENT_TIME CURRENT_TIMESTAMP
+        CURRENT_TRANSFORM_GROUP_FOR_TYPE CURRENT_USER CURSOR CYCLE DATE DAY DEALLOCATE
+        DEC DECIMAL DECLARE DEFAULT DELETE DENSE_RANK DEREF DESC DESCRIBE DETERMINISTIC
+        DISCONNECT DISTINCT DOUBLE DROP DYNAMIC EACH ELEMENT ELSE END ESCAPE EVERY EXCEPT
+        EXEC EXECUTE EXISTS EXP EXTERNAL EXTRACT FALSE FETCH FILTER FIRST FLOAT FLOOR FOR
+        FOREIGN FREE FROM FULL FUNCTION FUSION GET GLOBAL GRANT GROUP GROUPING HAVING
+        HOLD HOUR IDENTITY IN INDICATOR INNER INOUT INSENSITIVE INSERT INT INTEGER
+        INTERSECT INTERSECTION INTERVAL INTO IS JOIN LANGUAGE LARGE LAST LATERAL LEADING
+        LEFT LIKE LIMIT LN LOCAL LOCALTIME LOCALTIMESTAMP LOWER MATCH MAX MEMBER MERGE
+        METHOD MIN MINUTE MOD MODIFIES MODULE MONTH MULTISET NATIONAL NATURAL NCHAR
+        NCLOB NEW NEXT NO NONE NORMALIZE NOT NULL NULLIF NULLS NUMERIC OCTET_LENGTH OF
+        OFFSET OLD ON ONLY OPEN OR ORDER OUT OUTER OVER OVERLAPS OVERLAY PARAMETER
+        PARTITION PERCENTILE_CONT PERCENTILE_DISC PERCENT_RANK POSITION POWER PRECISION
+        PREPARE PRIMARY PROCEDURE RANGE RANK READS REAL RECURSIVE REF REFERENCES
+        REFERENCING REGR_AVGX REGR_AVGY REGR_COUNT REGR_INTERCEPT REGR_R2 REGR_SLOPE
+        REGR_SXX REGR_SXY REGR_SYY RELEASE RESULT RETURN RETURNS REVOKE RIGHT ROLLBACK
+        ROLLUP ROW ROWS ROW_NUMBER SAVEPOINT SCOPE SCROLL SEARCH SECOND SELECT SENSITIVE
+        SESSION_USER SET SIMILAR SMALLINT SOME SPECIFIC SPECIFICTYPE SQL SQLEXCEPTION
+        SQLSTATE SQLWARNING SQRT START STATIC STDDEV_POP STDDEV_SAMP SUBMULTISET
+        SUBSTRING SUM SYMMETRIC SYSTEM SYSTEM_USER TABLE TABLESAMPLE THEN TIME TIMESTAMP
+        TIMEZONE_HOUR TIMEZONE_MINUTE TO TRAILING TRANSLATE TRANSLATION TREAT TRIGGER
+        TRIM TRUE UESCAPE UNION UNIQUE UNKNOWN UNNEST UPDATE UPPER USER USING VALUE
+        VALUES VARCHAR VARIANCE VARYING VAR_POP VAR_SAMP WHEN WHENEVER WHERE
+        WIDTH_BUCKET WINDOW WITH WITHIN WITHOUT YEAR";
+
+    #[test]
+    fn full_sized_sql_token_set_matches_the_reference() {
+        let mut ts = TokenSet::new();
+        for word in SQL_KEYWORDS.split_whitespace() {
+            ts.keyword(word).unwrap();
+        }
+        let puncts = [
+            ("COMMA", ","),
+            ("LPAREN", "("),
+            ("RPAREN", ")"),
+            ("SEMI", ";"),
+            ("DOT", "."),
+            ("STAR", "*"),
+            ("PLUS", "+"),
+            ("MINUS", "-"),
+            ("SLASH", "/"),
+            ("EQ", "="),
+            ("NE", "<>"),
+            ("LT", "<"),
+            ("LE", "<="),
+            ("GT", ">"),
+            ("GE", ">="),
+            ("CONCAT", "||"),
+            ("COLON", ":"),
+            ("QMARK", "?"),
+        ];
+        for (name, literal) in puncts {
+            ts.punct(name, literal).unwrap();
+        }
+        // The pattern and skip rules of `sql-features/src/tokens.rs` and
+        // the root SQL feature's comment rules.
+        ts.pattern("IDENT", "[A-Za-z_][A-Za-z0-9_]*").unwrap();
+        ts.pattern("NUMBER", "[0-9]+(\\.[0-9]+)?([eE][+\\-]?[0-9]+)?")
+            .unwrap();
+        ts.pattern("STRING", "'([^']|'')*'").unwrap();
+        ts.skip("WS", "[ \\t\\r\\n]+").unwrap();
+        ts.skip("LINE_COMMENT", "--[^\\n]*").unwrap();
+        ts.skip("BLOCK_COMMENT", "\\/\\*([^*]|\\*+[^*\\/])*\\*+\\/")
+            .unwrap();
+        assert!(ts.len() > 300, "{} rules", ts.len());
+        check_token_set(&ts).unwrap();
     }
 }
