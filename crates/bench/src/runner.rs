@@ -596,24 +596,24 @@ fn measure(
 /// Statements the engine rejects (the LL(1) engine cannot parse every
 /// corpus entry of the larger dialects) are excluded up front so every API
 /// measures identical successful work.
-pub fn bench_pair(dialect: Dialect, mode: EngineMode, iters: usize) -> PairReport {
-    bench_parser(parser(dialect, mode), dialect, mode, iters)
-}
-
-/// [`bench_pair`] with an explicit runtime lookahead limit (Experiment
-/// B5's k-ablation knob). Builds an unshared parser so the cached one
-/// keeps its default configuration; `k < 2` disables dispatch tables
-/// entirely, reproducing the seed backtracking behavior.
-pub fn bench_pair_with_lookahead(
+///
+/// `lookahead` sets an explicit runtime lookahead limit (Experiment B5's
+/// k-ablation knob) on an unshared parser, so the cached one keeps its
+/// default configuration; `k < 2` disables dispatch tables entirely,
+/// reproducing the seed backtracking behavior.
+pub fn bench_pair(
     dialect: Dialect,
     mode: EngineMode,
     iters: usize,
-    lookahead: usize,
+    lookahead: Option<usize>,
 ) -> PairReport {
+    let Some(k) = lookahead else {
+        return bench_parser(parser(dialect, mode), dialect, mode, iters);
+    };
     let p = dialect
         .parser_with_mode(mode)
         .unwrap_or_else(|e| panic!("parser {}: {e}", dialect.name()))
-        .with_lookahead_k(lookahead);
+        .with_lookahead_k(k);
     bench_parser(&p, dialect, mode, iters)
 }
 
@@ -768,12 +768,6 @@ fn fmt_f64(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Serialize reports as the `sqlweave-bench-parser/v8` JSON document with
-/// empty `corpus_lex` and `incremental` sections.
-pub fn to_json(iters: usize, reports: &[PairReport]) -> String {
-    to_json_full(iters, reports, &[], &[])
-}
-
 /// Serialize lexer measurements shared by the per-pair `lex` arrays and
 /// the top-level `corpus_lex` section.
 fn lex_json(l: &LexMeasurement) -> String {
@@ -789,9 +783,10 @@ fn lex_json(l: &LexMeasurement) -> String {
     )
 }
 
-/// [`to_json`] with the generated-corpus lex sweep and the incremental
-/// keystroke-latency sweep (both sections are emitted as empty arrays when
-/// their knobs were not given — the shape is stable either way).
+/// Serialize reports as the `sqlweave-bench-parser/v8` JSON document, with
+/// the generated-corpus lex sweep and the incremental keystroke-latency
+/// sweep (both sections are emitted as empty arrays when their knobs were
+/// not given — the shape is stable either way).
 pub fn to_json_full(
     iters: usize,
     reports: &[PairReport],
@@ -905,25 +900,6 @@ pub fn to_json_full(
     )
 }
 
-/// Run the full sweep and return validated JSON.
-///
-/// Panics if the emitted document fails to round-trip through the JSON
-/// parser or violates the schema — a bench artifact that cannot be read
-/// back is worse than no artifact.
-pub fn run(dialects: &[Dialect], iters: usize) -> String {
-    run_with_lookahead(dialects, iters, None)
-}
-
-/// [`run`] with an optional runtime lookahead cap applied to every pair
-/// (the LL(1) table engine ignores it; see [`bench_pair_with_lookahead`]).
-pub fn run_with_lookahead(
-    dialects: &[Dialect],
-    iters: usize,
-    lookahead: Option<usize>,
-) -> String {
-    run_full(dialects, iters, lookahead, 0, 0)
-}
-
 /// Best-of passes per substrate in the generated-corpus sweep.
 const CORPUS_REPS: usize = 5;
 
@@ -931,13 +907,19 @@ const CORPUS_REPS: usize = 5;
 /// not given: the acceptance workload is the 4 MiB generated script.
 const INCREMENTAL_DEFAULT_MB: usize = 4;
 
-/// [`run_with_lookahead`] plus the generated-corpus lex sweep and the
-/// incremental keystroke sweep: when `corpus_mb > 0`, every requested
-/// dialect is additionally scanned over a `corpus_mb`-MiB generated script
-/// (`corpus_lex` section, best of [`CORPUS_REPS`] passes per substrate);
-/// when `edits > 0`, every requested dialect gets `edits` single-token
-/// edits applied through a recycled incremental session over the same-size
-/// script ([`INCREMENTAL_DEFAULT_MB`] MiB when `corpus_mb` is 0).
+/// Run the full sweep and return validated JSON: every requested dialect
+/// × engine pair, with an optional runtime lookahead cap applied to every
+/// pair (the LL(1) table engine ignores it; see [`bench_pair`]). When
+/// `corpus_mb > 0`, every requested dialect is additionally scanned over a
+/// `corpus_mb`-MiB generated script (`corpus_lex` section, best of
+/// [`CORPUS_REPS`] passes per substrate); when `edits > 0`, every
+/// requested dialect gets `edits` single-token edits applied through a
+/// recycled incremental session over the same-size script
+/// ([`INCREMENTAL_DEFAULT_MB`] MiB when `corpus_mb` is 0).
+///
+/// Panics if the emitted document fails to round-trip through the JSON
+/// parser or violates the schema — a bench artifact that cannot be read
+/// back is worse than no artifact.
 pub fn run_full(
     dialects: &[Dialect],
     iters: usize,
@@ -948,10 +930,7 @@ pub fn run_full(
     let mut reports = Vec::new();
     for &d in dialects {
         for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            reports.push(match lookahead {
-                Some(k) => bench_pair_with_lookahead(d, mode, iters, k),
-                None => bench_pair(d, mode, iters),
-            });
+            reports.push(bench_pair(d, mode, iters, lookahead));
         }
     }
     let corpus: Vec<CorpusLexReport> = if corpus_mb > 0 {
@@ -978,7 +957,7 @@ pub fn run_full(
 
 /// Check a bench document against schema `sqlweave-bench-parser/v8`.
 ///
-/// Used both by [`run`] before returning and by the CI smoke step to gate
+/// Used both by [`run_full`] before returning and by the CI smoke step to gate
 /// on the artifact it just produced.
 pub fn validate(doc: &str) -> Result<(), String> {
     let v: Value = json::parse(doc).map_err(|e| e.to_string())?;
@@ -1356,7 +1335,7 @@ mod tests {
 
     #[test]
     fn pico_sweep_emits_valid_schema() {
-        let doc = run(&[Dialect::Pico], 2);
+        let doc = run_full(&[Dialect::Pico], 2, None, 0, 0);
         assert!(validate(&doc).is_ok());
         let v = json::parse(&doc).unwrap();
         let results = v.get("results").unwrap().as_arr().unwrap();
@@ -1711,7 +1690,7 @@ mod tests {
 
     #[test]
     fn seed_baseline_reports_unit_speedup() {
-        let r = bench_pair(Dialect::Pico, EngineMode::Backtracking, 1);
+        let r = bench_pair(Dialect::Pico, EngineMode::Backtracking, 1, None);
         assert_eq!(r.apis[0].api, "seed_cst");
         assert!((r.apis[0].speedup_vs_seed - 1.0).abs() < 1e-9);
     }
@@ -1721,10 +1700,10 @@ mod tests {
         // Tiny has two conflicted decisions (COUNT / SEMI), both resolved
         // by dispatch tables, so the default configuration hits the
         // tables and the LL(1) engine reports no speculation at all.
-        let bt = bench_pair(Dialect::Tiny, EngineMode::Backtracking, 1);
+        let bt = bench_pair(Dialect::Tiny, EngineMode::Backtracking, 1, None);
         assert!(bt.decision_table_hits > 0, "{bt:?}");
         assert!(bt.backtrack_rate.is_finite() && bt.backtrack_rate >= 0.0);
-        let ll1 = bench_pair(Dialect::Tiny, EngineMode::Ll1Table, 1);
+        let ll1 = bench_pair(Dialect::Tiny, EngineMode::Ll1Table, 1, None);
         assert_eq!(ll1.decision_table_hits, 0);
         assert_eq!(ll1.backtracks, 0);
         assert_eq!(ll1.backtrack_rate, 0.0);
@@ -1736,10 +1715,10 @@ mod tests {
         // decision speculates — core's corpus exercises the predicate
         // and NOT-tail conflicts on every WHERE clause. The default k=3
         // must hit tables instead and backtrack strictly less.
-        let k1 = bench_pair_with_lookahead(Dialect::Core, EngineMode::Backtracking, 1, 1);
+        let k1 = bench_pair(Dialect::Core, EngineMode::Backtracking, 1, Some(1));
         assert_eq!(k1.decision_table_hits, 0);
         assert!(k1.backtracks > 0, "{k1:?}");
-        let k3 = bench_pair_with_lookahead(Dialect::Core, EngineMode::Backtracking, 1, 3);
+        let k3 = bench_pair(Dialect::Core, EngineMode::Backtracking, 1, Some(3));
         assert!(k3.decision_table_hits > 0, "{k3:?}");
         assert!(k3.backtracks < k1.backtracks, "{k3:?} vs {k1:?}");
         assert!(k3.backtrack_rate < k1.backtrack_rate);

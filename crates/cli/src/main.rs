@@ -29,6 +29,7 @@ use sqlweave_dialects::Dialect;
 use sqlweave_grammar::lookahead::{analyze_lookahead, LookaheadAnalysis, Outcome, K_MAX};
 use sqlweave_feature_model::analysis::census;
 use sqlweave_feature_model::render;
+use sqlweave_lint::json;
 use sqlweave_sql_features::{catalog, DIAGRAMS};
 use std::process::ExitCode;
 
@@ -66,114 +67,231 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
+    let Some((cmd, args)) = args.split_first() else {
         return usage();
     };
-    match cmd {
-        "features" => cmd_features(&args[1..]),
+    let result = match cmd.as_str() {
+        "features" => cmd_features(args),
         "census" => cmd_census(),
-        "dialects" => cmd_dialects(&args[1..]),
-        "compose" => cmd_compose(&args[1..]),
-        "parse" => cmd_parse(&args[1..], true),
-        "check" => cmd_parse(&args[1..], false),
-        "lex" => cmd_lex(&args[1..]),
-        "format" => cmd_format(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "lineage" => cmd_lineage(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "certify" => cmd_certify(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        _ => usage(),
-    }
-}
-
-/// Parsed `lint` arguments.
-struct LintArgs {
-    format_json: bool,
-    all_dialects: bool,
-    /// `--codes` with no value: print the catalog.
-    codes: bool,
-    /// `--codes SW001,SW4xx`: restrict output to these codes.
-    code_filter: Option<String>,
-    dialect: Option<String>,
-    grammar_file: Option<String>,
-    tokens_file: Option<String>,
-    schema_file: Option<String>,
-    sql: Option<String>,
-    features: Vec<String>,
-}
-
-fn parse_lint_args(args: &[String]) -> Option<LintArgs> {
-    let mut parsed = LintArgs {
-        format_json: false,
-        all_dialects: false,
-        codes: false,
-        code_filter: None,
-        dialect: None,
-        grammar_file: None,
-        tokens_file: None,
-        schema_file: None,
-        sql: None,
-        features: Vec::new(),
+        "dialects" => cmd_dialects(args),
+        "compose" => cmd_compose(args),
+        "parse" => cmd_parse(args, true),
+        "check" => cmd_parse(args, false),
+        "lex" => cmd_lex(args),
+        "format" => cmd_format(args),
+        "generate" => cmd_generate(args),
+        "lint" => cmd_lint(args),
+        "lineage" => cmd_lineage(args),
+        "analyze" => cmd_analyze(args),
+        "certify" => cmd_certify(args),
+        "bench" => cmd_bench(args),
+        _ => Err(Fail::Usage),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--all-dialects" => {
-                parsed.all_dialects = true;
-                i += 1;
-            }
-            "--codes" => {
-                // Value form filters; bare form prints the catalog. A
-                // following flag (or nothing) means the bare form.
-                match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
-                        parsed.code_filter = Some(v.clone());
-                        i += 2;
-                    }
-                    _ => {
-                        parsed.codes = true;
-                        i += 1;
-                    }
-                }
-            }
-            "--dialect" => {
-                parsed.dialect = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--grammar" => {
-                parsed.grammar_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--tokens" => {
-                parsed.tokens_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--schema" => {
-                parsed.schema_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--sql" => {
-                parsed.sql = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return None,
-            _ => {
-                parsed.features.push(args[i].clone());
-                i += 1;
-            }
+    match result {
+        Ok(code) => code,
+        Err(Fail::Usage) => usage(),
+        Err(Fail::Exit(code, message)) => {
+            eprintln!("{message}");
+            ExitCode::from(code)
         }
     }
-    Some(parsed)
+}
+
+/// Why a subcommand stopped before its verdict.
+enum Fail {
+    /// Malformed arguments: print the usage text and exit 2.
+    Usage,
+    /// A message for stderr and the exit code that goes with it.
+    Exit(u8, String),
+}
+
+/// A bare message reports a failure of the command's work: exit 1.
+impl From<String> for Fail {
+    fn from(message: String) -> Self {
+        Fail::Exit(1, message)
+    }
+}
+
+/// A pipeline error (a dialect whose parser cannot be built) is reported
+/// verbatim: exit 1.
+impl From<sqlweave_core::PipelineError> for Fail {
+    fn from(e: sqlweave_core::PipelineError) -> Self {
+        Fail::Exit(1, e.to_string())
+    }
+}
+
+/// Exit 0 when the command's verdict is clean, 1 otherwise.
+fn verdict(clean: bool) -> ExitCode {
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// A switch: `--recover`.
+    Nothing,
+    /// The next argument, whatever it is: `--dialect NAME`.
+    Value,
+    /// The next argument unless there is none or it is a flag: `--codes [LIST]`.
+    MaybeValue,
+}
+
+/// An argument is a flag when it starts with `--` and holds no whitespace,
+/// so SQL that opens with a `--` comment stays a positional.
+fn is_flag(arg: &str) -> bool {
+    arg.starts_with("--") && !arg.contains(char::is_whitespace)
+}
+
+/// One subcommand's arguments, split by [`parse_args`].
+struct Args {
+    /// The declared flags given, in command-line order.
+    flags: Vec<(&'static str, Option<String>)>,
+    positionals: Vec<String>,
+    /// `--format json` (the last `--format` wins; `text` is the default).
+    json: bool,
+}
+
+/// Split `args` by the flags a subcommand declares in `spec`. An
+/// undeclared flag, a missing value, a `--format` other than `text` or
+/// `json`, or more than `max_positionals` positionals is a usage error.
+fn parse_args(
+    args: &[String],
+    spec: &[(&'static str, Takes)],
+    max_positionals: usize,
+) -> Result<Args, Fail> {
+    let mut parsed = Args {
+        flags: Vec::new(),
+        positionals: Vec::new(),
+        json: false,
+    };
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        if !is_flag(arg) {
+            if parsed.positionals.len() == max_positionals {
+                return Err(Fail::Usage);
+            }
+            parsed.positionals.push(arg.clone());
+            continue;
+        }
+        let &(flag, takes) = spec.iter().find(|(f, _)| f == arg).ok_or(Fail::Usage)?;
+        let value = match takes {
+            Takes::Nothing => None,
+            Takes::Value => Some(rest.next().ok_or(Fail::Usage)?.clone()),
+            Takes::MaybeValue => rest.next_if(|v| !is_flag(v)).cloned(),
+        };
+        if flag == "--format" {
+            parsed.json = match value.as_deref() {
+                Some("json") => true,
+                Some("text") => false,
+                _ => return Err(Fail::Usage),
+            };
+        }
+        parsed.flags.push((flag, value));
+    }
+    Ok(parsed)
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Every value given to `flag`, in command-line order.
+    fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+        self.flags
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .filter_map(|(_, v)| v.as_deref())
+    }
+
+    /// The last value given to `flag`.
+    fn value<'a>(&'a self, flag: &'a str) -> Option<&'a str> {
+        self.values(flag).last()
+    }
+
+    /// `flag`'s value as a number; one that does not parse is a usage error.
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, Fail> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|_| Fail::Usage))
+            .transpose()
+    }
+
+    /// `flag`'s value as a count of at least one.
+    fn positive(&self, flag: &str) -> Result<Option<usize>, Fail> {
+        match self.num(flag)? {
+            Some(0) => Err(Fail::Usage),
+            n => Ok(n),
+        }
+    }
+
+    /// `--dialect NAME`, resolved among the presets.
+    fn dialect(&self) -> Result<Option<Dialect>, Fail> {
+        let Some(name) = self.value("--dialect") else {
+            return Ok(None);
+        };
+        match Dialect::ALL.into_iter().find(|d| d.name() == name) {
+            Some(d) => Ok(Some(d)),
+            None => Err(
+                format!("unknown dialect `{name}`; run `sqlweave dialects` for the list").into(),
+            ),
+        }
+    }
+
+    fn positional(&self) -> Option<&str> {
+        self.positionals.first().map(String::as_str)
+    }
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// Write a JSON document and its newline to `path`, noting it on stderr.
+fn write_doc(path: &str, doc: &str) -> Result<(), Fail> {
+    std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// The golden-inventory workflow of `analyze`, `lineage` and `certify`:
+/// `--write FILE` refreshes the checked-in `doc`, `report` goes to stdout,
+/// and `--check FILE` then fails the run when `doc` drifted from the file.
+fn golden_gate(args: &Args, doc: &str, report: &str, inventory: &str) -> Result<(), Fail> {
+    if let Some(path) = args.value("--write") {
+        write_doc(path, doc)?;
+    }
+    print!("{report}");
+    if let Some(path) = args.value("--check") {
+        if read(path)?.trim_end() != doc {
+            return Err(format!(
+                "{inventory} inventory drifted from `{path}`; \
+                 rerun with `--write {path}` and review the diff"
+            )
+            .into());
+        }
+        eprintln!("inventory matches {path}");
+    }
+    Ok(())
+}
+
+/// Complete a feature selection against the catalog and compose it; an
+/// empty selection is a usage error.
+fn compose(features: &[String]) -> Result<sqlweave_core::pipeline::Composed, Fail> {
+    if features.is_empty() {
+        return Err(Fail::Usage);
+    }
+    let cat = catalog();
+    let config = cat
+        .complete(features.iter().cloned())
+        .map_err(|e| format!("invalid selection: {e}"))?;
+    Ok(cat
+        .pipeline()
+        .compose(&config)
+        .map_err(|e| format!("composition failed: {e}"))?)
 }
 
 /// Resolve a `--codes` filter list against the catalog. Unknown or
@@ -236,45 +354,52 @@ fn emit_lint_reports(reports: &[sqlweave_lint::LintReport], json: bool) -> ExitC
         .iter()
         .map(|r| r.count(sqlweave_lint::Severity::Error))
         .sum();
-    if errors > 0 {
-        if !json {
-            eprintln!("lint failed: {errors} error(s)");
-        }
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    if errors > 0 && !json {
+        eprintln!("lint failed: {errors} error(s)");
     }
+    verdict(errors == 0)
 }
 
 /// Load a `sqlweave-schema/v1` catalog file for the semantic passes.
 fn load_schema(path: &str) -> Result<sqlweave_sema::SchemaCatalog, String> {
-    let src =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    sqlweave_sema::SchemaCatalog::from_json(&src)
+    sqlweave_sema::SchemaCatalog::from_json(&read(path)?)
         .map_err(|e| format!("cannot parse schema `{path}`: {e}"))
 }
 
-/// Semantic lint over a SQL script: parse with the dialect's composed
-/// parser, run the resolver, and report the SW4xx findings.
-fn lint_sql(
-    dialect: Dialect,
-    sql: &str,
-    schema: Option<&sqlweave_sema::SchemaCatalog>,
-) -> Result<sqlweave_lint::LintReport, String> {
+/// Name resolution over `sql` under `--dialect` (default `full`) and an
+/// optional `--schema` catalog: the front half of `lint --sql` and
+/// `lineage SQL`.
+fn analyze_sql(args: &Args, sql: &str) -> Result<(Dialect, sqlweave_sema::Analysis), Fail> {
+    let dialect = args.dialect()?.unwrap_or(Dialect::Full);
+    let schema = args.value("--schema").map(load_schema).transpose()?;
     let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
-    let analysis = sqlweave_sema::analyze(sql, dialect, &caps, schema)
+    let analysis = sqlweave_sema::analyze(sql, dialect, &caps, schema.as_ref())
         .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
-    let mut report = sqlweave_lint::LintReport::new(format!("{}:script", dialect.name()));
-    report.extend(analysis.diagnostics);
-    Ok(report)
+    Ok((dialect, analysis))
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let Some(parsed) = parse_lint_args(args) else {
-        return usage();
-    };
+fn cmd_lint(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(
+        args,
+        &[
+            ("--format", Takes::Value),
+            ("--all-dialects", Takes::Nothing),
+            ("--codes", Takes::MaybeValue),
+            ("--dialect", Takes::Value),
+            ("--grammar", Takes::Value),
+            ("--tokens", Takes::Value),
+            ("--schema", Takes::Value),
+            ("--sql", Takes::Value),
+        ],
+        usize::MAX,
+    )?;
 
-    if parsed.codes {
+    // Bare `--codes` prints the catalog; `--codes LIST` filters the output.
+    if args
+        .flags
+        .iter()
+        .any(|(f, v)| *f == "--codes" && v.is_none())
+    {
         println!("{:<6} {:<8} {:<14} description", "code", "severity", "layer");
         for c in sqlweave_lint::Code::ALL {
             println!(
@@ -285,17 +410,11 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 c.title()
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let filter = match &parsed.code_filter {
-        Some(list) => match parse_code_filter(list) {
-            Ok(codes) => Some(codes),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
+    let filter = match args.value("--codes") {
+        Some(list) => Some(parse_code_filter(list).map_err(|e| Fail::Exit(2, e))?),
         None => None,
     };
     let emit = |reports: Vec<sqlweave_lint::LintReport>| {
@@ -303,178 +422,44 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             Some(keep) => filter_reports(reports, keep),
             None => reports,
         };
-        emit_lint_reports(&reports, parsed.format_json)
+        Ok(emit_lint_reports(&reports, args.json))
     };
 
-    if let Some(sql) = &parsed.sql {
-        let dialect = match &parsed.dialect {
-            Some(name) => match Dialect::ALL.iter().find(|d| d.name() == *name) {
-                Some(&d) => d,
-                None => {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Dialect::Full,
-        };
-        let schema = match &parsed.schema_file {
-            Some(path) => match load_schema(path) {
-                Ok(cat) => Some(cat),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        return match lint_sql(dialect, sql, schema.as_ref()) {
-            Ok(report) => emit(vec![report]),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+    if let Some(sql) = args.value("--sql") {
+        let (dialect, analysis) = analyze_sql(&args, sql)?;
+        let mut report = sqlweave_lint::LintReport::new(format!("{}:script", dialect.name()));
+        report.extend(analysis.diagnostics);
+        return emit(vec![report]);
     }
 
-    if parsed.all_dialects {
-        return match sqlweave_lint::lint_all_dialects() {
-            Ok(reports) => emit(reports),
-            Err(e) => {
-                eprintln!("composition failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if args.has("--all-dialects") {
+        let reports =
+            sqlweave_lint::lint_all_dialects().map_err(|e| format!("composition failed: {e}"))?;
+        return emit(reports);
     }
 
-    if let Some(gfile) = &parsed.grammar_file {
-        let grammar_src = match std::fs::read_to_string(gfile) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{gfile}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let grammar = match sqlweave_grammar::dsl::parse_grammar(&grammar_src) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("cannot parse grammar `{gfile}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = match &parsed.tokens_file {
+    if let Some(gfile) = args.value("--grammar") {
+        let grammar = sqlweave_grammar::dsl::parse_grammar(&read(gfile)?)
+            .map_err(|e| format!("cannot parse grammar `{gfile}`: {e}"))?;
+        let report = match args.value("--tokens") {
             Some(tfile) => {
-                let tokens_src = match std::fs::read_to_string(tfile) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("cannot read `{tfile}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match sqlweave_grammar::dsl::parse_tokens(&tokens_src) {
-                    Ok(tokens) => sqlweave_lint::lint_pair(gfile, &grammar, &tokens),
-                    Err(e) => {
-                        eprintln!("cannot parse tokens `{tfile}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let tokens = sqlweave_grammar::dsl::parse_tokens(&read(tfile)?)
+                    .map_err(|e| format!("cannot parse tokens `{tfile}`: {e}"))?;
+                sqlweave_lint::lint_pair(gfile, &grammar, &tokens)
             }
             None => sqlweave_lint::lint_grammar(gfile, &grammar),
         };
         return emit(vec![report]);
     }
 
-    if let Some(name) = &parsed.dialect {
-        let Some(&dialect) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-            eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-            return ExitCode::FAILURE;
-        };
-        return match sqlweave_lint::lint_dialect(dialect) {
-            Ok(report) => emit(vec![report]),
-            Err(e) => {
-                eprintln!("composition failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if let Some(dialect) = args.dialect()? {
+        let report =
+            sqlweave_lint::lint_dialect(dialect).map_err(|e| format!("composition failed: {e}"))?;
+        return emit(vec![report]);
     }
 
-    if parsed.features.is_empty() {
-        return usage();
-    }
-    let cat = catalog();
-    let config = match cat.complete(parsed.features.iter().cloned()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid selection: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let composed = match cat.pipeline().compose(&config) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("composition failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let composed = compose(&args.positionals)?;
     emit(vec![sqlweave_lint::lint_composed(&composed)])
-}
-
-/// Parsed `lineage` arguments.
-struct LineageArgs {
-    format_json: bool,
-    dialect: Option<String>,
-    schema_file: Option<String>,
-    check: Option<String>,
-    write: Option<String>,
-    sql: Option<String>,
-}
-
-fn parse_lineage_args(args: &[String]) -> Option<LineageArgs> {
-    let mut parsed = LineageArgs {
-        format_json: false,
-        dialect: None,
-        schema_file: None,
-        check: None,
-        write: None,
-        sql: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--dialect" => {
-                parsed.dialect = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--schema" => {
-                parsed.schema_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--write" => {
-                parsed.write = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return None,
-            _ => {
-                if parsed.sql.is_some() {
-                    return None;
-                }
-                parsed.sql = Some(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    Some(parsed)
 }
 
 /// Name resolution + lineage over a script (`sqlweave lineage`). With a
@@ -483,43 +468,25 @@ fn parse_lineage_args(args: &[String]) -> Option<LineageArgs> {
 /// sweep the per-dialect fixture scripts into the golden inventory that
 /// `--write` refreshes and `--check` gates CI on — the same workflow as
 /// `analyze --check`.
-fn cmd_lineage(args: &[String]) -> ExitCode {
-    let Some(parsed) = parse_lineage_args(args) else {
-        return usage();
-    };
-    if let Some(sql) = &parsed.sql {
-        if parsed.check.is_some() || parsed.write.is_some() {
-            return usage();
+fn cmd_lineage(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(
+        args,
+        &[
+            ("--format", Takes::Value),
+            ("--dialect", Takes::Value),
+            ("--schema", Takes::Value),
+            ("--check", Takes::Value),
+            ("--write", Takes::Value),
+        ],
+        1,
+    )?;
+    let gated = args.has("--check") || args.has("--write");
+    if let Some(sql) = args.positional() {
+        if gated {
+            return Err(Fail::Usage);
         }
-        let dialect = match &parsed.dialect {
-            Some(name) => match Dialect::ALL.iter().find(|d| d.name() == *name) {
-                Some(&d) => d,
-                None => {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Dialect::Full,
-        };
-        let schema = match &parsed.schema_file {
-            Some(path) => match load_schema(path) {
-                Ok(cat) => Some(cat),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
-        let analysis = match sqlweave_sema::analyze(sql, dialect, &caps, schema.as_ref()) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("rejected by `{}`: {e}", dialect.name());
-                return ExitCode::FAILURE;
-            }
-        };
-        if parsed.format_json {
+        let (dialect, analysis) = analyze_sql(&args, sql)?;
+        if args.json {
             println!("{}", sqlweave_sema::lineage_json(dialect.name(), &analysis));
         } else {
             print!("{}", sqlweave_sema::lineage_text(dialect.name(), &analysis));
@@ -527,13 +494,10 @@ fn cmd_lineage(args: &[String]) -> ExitCode {
                 println!("  {d}");
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if parsed.check.is_none() && parsed.write.is_none() {
-        return usage();
-    }
-    if parsed.dialect.is_some() || parsed.schema_file.is_some() {
-        return usage();
+    if !gated || args.has("--dialect") || args.has("--schema") {
+        return Err(Fail::Usage);
     }
     // Inventory mode: every dialect's fixture script, resolved under that
     // dialect's own capabilities, no external catalog (the fixtures carry
@@ -541,103 +505,18 @@ fn cmd_lineage(args: &[String]) -> ExitCode {
     let mut entries: Vec<(String, sqlweave_sema::Analysis)> = Vec::new();
     for (dialect, script) in sqlweave_sema::fixtures::all() {
         let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
-        match sqlweave_sema::analyze(script, dialect, &caps, None) {
-            Ok(a) => entries.push((dialect.name().to_string(), a)),
-            Err(e) => {
-                eprintln!("{}: fixture rejected: {e}", dialect.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let analysis = sqlweave_sema::analyze(script, dialect, &caps, None)
+            .map_err(|e| format!("{}: fixture rejected: {e}", dialect.name()))?;
+        entries.push((dialect.name().to_string(), analysis));
     }
     let doc = sqlweave_sema::inventory_json(&entries);
-    if let Some(path) = &parsed.write {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if parsed.format_json {
-        println!("{doc}");
-    }
-    if let Some(path) = &parsed.check {
-        let golden = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if golden.trim_end() != doc {
-            eprintln!(
-                "lineage inventory drifted from `{path}`; \
-                 rerun with `--write {path}` and review the diff"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("inventory matches {path}");
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parsed `analyze` arguments.
-struct AnalyzeArgs {
-    format_json: bool,
-    all_dialects: bool,
-    dialect: Option<String>,
-    lookahead: usize,
-    check: Option<String>,
-    write: Option<String>,
-}
-
-fn parse_analyze_args(args: &[String]) -> Option<AnalyzeArgs> {
-    let mut parsed = AnalyzeArgs {
-        format_json: false,
-        all_dialects: false,
-        dialect: None,
-        lookahead: K_MAX,
-        check: None,
-        write: None,
+    let report = if args.json {
+        format!("{doc}\n")
+    } else {
+        String::new()
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--all-dialects" => {
-                parsed.all_dialects = true;
-                i += 1;
-            }
-            "--dialect" => {
-                parsed.dialect = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--lookahead" => {
-                let k: usize = args.get(i + 1).and_then(|s| s.parse().ok())?;
-                if k == 0 {
-                    return None;
-                }
-                parsed.lookahead = k;
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--write" => {
-                parsed.write = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            _ => return None,
-        }
-    }
-    Some(parsed)
+    golden_gate(&args, &doc, &report, "lineage")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Run the static LL(k) lookahead pass on one dialect's composed grammar.
@@ -672,11 +551,7 @@ fn lookahead_json(k: usize, dialects: &[(String, LookaheadAnalysis)]) -> String 
             if i > 0 {
                 s.push(',');
             }
-            let toks: Vec<String> = d
-                .conflict_tokens
-                .iter()
-                .map(|t| format!("\"{}\"", escape(t)))
-                .collect();
+            let toks: Vec<String> = d.conflict_tokens.iter().map(|t| json::string(t)).collect();
             s.push_str(&format!(
                 "{{\"production\":\"{}\",\"synthetic\":{},\"conflict_tokens\":[{}],",
                 escape(&d.production),
@@ -743,64 +618,40 @@ fn lookahead_text(k: usize, dialects: &[(String, LookaheadAnalysis)]) -> String 
 /// Static LL(k) conflict classification over dialect grammars: a human
 /// report, the `sqlweave-lookahead/v1` JSON document, and the golden-file
 /// workflow (`--write` refreshes the inventory, `--check` gates CI on it).
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let Some(parsed) = parse_analyze_args(args) else {
-        return usage();
-    };
-    if parsed.all_dialects && parsed.dialect.is_some() {
-        return usage();
+fn cmd_analyze(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(
+        args,
+        &[
+            ("--format", Takes::Value),
+            ("--all-dialects", Takes::Nothing),
+            ("--dialect", Takes::Value),
+            ("--lookahead", Takes::Value),
+            ("--check", Takes::Value),
+            ("--write", Takes::Value),
+        ],
+        0,
+    )?;
+    let lookahead = args.positive("--lookahead")?.unwrap_or(K_MAX);
+    if args.has("--all-dialects") && args.has("--dialect") {
+        return Err(Fail::Usage);
     }
-    let targets: Vec<Dialect> = match &parsed.dialect {
-        Some(name) => {
-            let Some(&d) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-                eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                return ExitCode::FAILURE;
-            };
-            vec![d]
-        }
+    let targets = match args.dialect()? {
+        Some(d) => vec![d],
         None => Dialect::ALL.to_vec(),
     };
     let mut results: Vec<(String, LookaheadAnalysis)> = Vec::new();
     for d in targets {
-        match analyze_one(d, parsed.lookahead) {
-            Ok(la) => results.push((d.name().to_string(), la)),
-            Err(e) => {
-                eprintln!("{}: {e}", d.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let la = analyze_one(d, lookahead).map_err(|e| format!("{}: {e}", d.name()))?;
+        results.push((d.name().to_string(), la));
     }
-    let doc = lookahead_json(parsed.lookahead.min(K_MAX), &results);
-    if let Some(path) = &parsed.write {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if parsed.format_json {
-        println!("{doc}");
+    let doc = lookahead_json(lookahead.min(K_MAX), &results);
+    let report = if args.json {
+        format!("{doc}\n")
     } else {
-        print!("{}", lookahead_text(parsed.lookahead.min(K_MAX), &results));
-    }
-    if let Some(path) = &parsed.check {
-        let golden = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if golden.trim_end() != doc {
-            eprintln!(
-                "conflict inventory drifted from `{path}`; \
-                 rerun with `--write {path}` and review the diff"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("inventory matches {path}");
-    }
-    ExitCode::SUCCESS
+        lookahead_text(lookahead.min(K_MAX), &results)
+    };
+    golden_gate(&args, &doc, &report, "conflict")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Build the diagram listing, or report the first name in `names` that
@@ -819,132 +670,58 @@ fn features_listing(
     Ok(out)
 }
 
-/// Parsed `certify` arguments.
-struct CertifyArgs {
-    format_json: bool,
-    models: Vec<String>,
-    limit: usize,
-    force_sample: bool,
-    check: Option<String>,
-    write: Option<String>,
-}
+const CERTIFY_FLAGS: &[(&str, Takes)] = &[
+    ("--format", Takes::Value),
+    ("--dialect-model", Takes::Value),
+    ("--limit", Takes::Value),
+    ("--sample", Takes::Value),
+    ("--check", Takes::Value),
+    ("--write", Takes::Value),
+];
 
-fn parse_certify_args(args: &[String]) -> Option<CertifyArgs> {
-    let mut parsed = CertifyArgs {
-        format_json: false,
-        models: Vec::new(),
-        limit: sqlweave_lint::certify::DEFAULT_LIMIT,
-        force_sample: false,
-        check: None,
-        write: None,
+/// `--limit N` (at least one) and `--sample pairwise`.
+fn certify_options(args: &Args) -> Result<sqlweave_lint::certify::CertifyOptions, Fail> {
+    let force_sample = match args.value("--sample") {
+        None => false,
+        Some("pairwise") => true,
+        Some(_) => return Err(Fail::Usage),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--dialect-model" => {
-                parsed.models.push(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--limit" => {
-                parsed.limit = args.get(i + 1)?.parse().ok().filter(|n| *n > 0)?;
-                i += 2;
-            }
-            "--sample" => {
-                if args.get(i + 1).map(String::as_str) != Some("pairwise") {
-                    return None;
-                }
-                parsed.force_sample = true;
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--write" => {
-                parsed.write = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            _ => return None,
-        }
-    }
-    Some(parsed)
+    Ok(sqlweave_lint::certify::CertifyOptions {
+        limit: args
+            .positive("--limit")?
+            .unwrap_or(sqlweave_lint::certify::DEFAULT_LIMIT),
+        force_sample,
+    })
 }
 
-fn cmd_certify(args: &[String]) -> ExitCode {
+fn cmd_certify(args: &[String]) -> Result<ExitCode, Fail> {
     use sqlweave_lint::certify;
 
-    let Some(parsed) = parse_certify_args(args) else {
-        return usage();
-    };
-    let opts = certify::CertifyOptions {
-        limit: parsed.limit,
-        force_sample: parsed.force_sample,
-    };
-    let certs = if parsed.models.is_empty() {
-        certify::certify_default(&opts)
+    let args = parse_args(args, CERTIFY_FLAGS, 0)?;
+    let opts = certify_options(&args)?;
+    let certs = if args.has("--dialect-model") {
+        args.values("--dialect-model")
+            .map(|name| {
+                certify::certify_catalog_model(name, &opts).ok_or_else(|| {
+                    format!("unknown diagram `{name}`; run `sqlweave features` for the list")
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?
     } else {
-        let mut certs = Vec::new();
-        for name in &parsed.models {
-            match certify::certify_catalog_model(name, &opts) {
-                Some(c) => certs.push(c),
-                None => {
-                    eprintln!(
-                        "unknown diagram `{name}`; run `sqlweave features` for the list"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        certs
+        certify::certify_default(&opts)
     };
 
-    let doc = certify::certification_json(&certs, parsed.limit);
-    if parsed.format_json {
-        println!("{doc}");
+    let doc = certify::certification_json(&certs, opts.limit);
+    let report = if args.json {
+        format!("{doc}\n")
     } else {
-        for c in &certs {
-            print!("{}", c.render_text());
-        }
-    }
-    if let Some(path) = &parsed.write {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &parsed.check {
-        let golden = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if golden.trim_end() != doc {
-            eprintln!(
-                "certification inventory drifted from `{path}`; \
-                 rerun with `--write {path}` and review the diff"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("inventory matches {path}");
-        return ExitCode::SUCCESS;
-    }
+        certs.iter().map(|c| c.render_text()).collect()
+    };
+    golden_gate(&args, &doc, &report, "certification")?;
     // Outside golden-gating, error-severity findings fail the run — that is
     // the certification verdict.
-    if parsed.write.is_none() && certs.iter().any(|c| c.has_errors()) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let gated = args.has("--check") || args.has("--write");
+    Ok(verdict(gated || !certs.iter().any(|c| c.has_errors())))
 }
 
 /// Schema identifier for `sqlweave features --format json`.
@@ -952,37 +729,8 @@ const FEATURES_SCHEMA: &str = "sqlweave-features/v1";
 /// Schema identifier for `sqlweave dialects --format json`.
 const DIALECTS_SCHEMA: &str = "sqlweave-dialects/v1";
 
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", sqlweave_lint::json::escape(s))
-}
-
-/// Parse a trailing `[NAME] [--format text|json]` argument list shared by
-/// `features` and `dialects`. Returns `(positional, json)`.
-fn parse_listing_args(args: &[String]) -> Option<(Option<String>, bool)> {
-    let mut positional = None;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => json = true,
-                    Some("text") => json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return None,
-            name => {
-                if positional.replace(name.to_string()).is_some() {
-                    return None;
-                }
-                i += 1;
-            }
-        }
-    }
-    Some((positional, json))
-}
+/// The flags of `features` and `dialects`.
+const LISTING_FLAGS: &[(&str, Takes)] = &[("--format", Takes::Value)];
 
 /// The diagram census as a `sqlweave-features/v1` document. Exact
 /// configuration counts are serialized as decimal strings (they are u128);
@@ -1001,11 +749,11 @@ fn features_json(
         let c = census(&model);
         let configurations = c
             .configurations
-            .map(|n| json_str(&n.to_string()))
+            .map(|n| json::string(&n.to_string()))
             .unwrap_or_else(|| "null".into());
         diagrams.push(format!(
             "{{\"name\":{},\"features\":{},\"depth\":{},\"constraints\":{},\"configurations\":{}}}",
-            json_str(&c.diagram),
+            json::string(&c.diagram),
             c.features,
             c.depth,
             c.constraints,
@@ -1014,7 +762,7 @@ fn features_json(
     }
     Ok(format!(
         "{{\"schema\":{},\"diagrams\":[{}]}}",
-        json_str(FEATURES_SCHEMA),
+        json::string(FEATURES_SCHEMA),
         diagrams.join(",")
     ))
 }
@@ -1026,7 +774,7 @@ fn diagram_json(model: &sqlweave_feature_model::FeatureModel) -> String {
         .map(|(_, f)| {
             let parent = f
                 .parent
-                .map(|p| json_str(&model.feature(p).name))
+                .map(|p| json::string(&model.feature(p).name))
                 .unwrap_or_else(|| "null".into());
             let optionality = if f.optionality.is_mandatory() {
                 "mandatory"
@@ -1035,71 +783,50 @@ fn diagram_json(model: &sqlweave_feature_model::FeatureModel) -> String {
             };
             format!(
                 "{{\"name\":{},\"parent\":{},\"optionality\":{},\"grouped\":{}}}",
-                json_str(&f.name),
+                json::string(&f.name),
                 parent,
-                json_str(optionality),
+                json::string(optionality),
                 f.is_grouped()
             )
         })
         .collect();
     format!(
         "{{\"schema\":{},\"diagram\":{},\"features\":[{}]}}",
-        json_str(FEATURES_SCHEMA),
-        json_str(model.name()),
+        json::string(FEATURES_SCHEMA),
+        json::string(model.name()),
         features.join(",")
     )
 }
 
-fn cmd_features(args: &[String]) -> ExitCode {
-    let Some((diagram, json)) = parse_listing_args(args) else {
-        return usage();
-    };
+fn cmd_features(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(args, LISTING_FLAGS, 1)?;
     let cat = catalog();
-    match diagram.as_deref() {
-        None if json => match features_json(cat, DIAGRAMS) {
-            Ok(doc) => {
-                println!("{doc}");
-                ExitCode::SUCCESS
+    let unregistered = |missing: String| {
+        let message = format!(
+            "internal error: diagram `{missing}` is registered in DIAGRAMS \
+             but missing from the catalog"
+        );
+        Fail::Exit(2, message)
+    };
+    let out = match args.positional() {
+        Some(name) => {
+            let model = cat.diagram(name).ok_or_else(|| {
+                format!("unknown diagram `{name}`; run `sqlweave features` for the list")
+            })?;
+            if args.json {
+                format!("{}\n", diagram_json(&model))
+            } else {
+                render::ascii(&model)
             }
-            Err(missing) => {
-                eprintln!(
-                    "internal error: diagram `{missing}` is registered in DIAGRAMS \
-                     but missing from the catalog"
-                );
-                ExitCode::from(2)
-            }
-        },
-        None => match features_listing(cat, DIAGRAMS) {
-            Ok(listing) => {
-                print!("{listing}");
-                ExitCode::SUCCESS
-            }
-            Err(missing) => {
-                eprintln!(
-                    "internal error: diagram `{missing}` is registered in DIAGRAMS \
-                     but missing from the catalog"
-                );
-                ExitCode::from(2)
-            }
-        },
-        Some(name) => match cat.diagram(name) {
-            Some(model) => {
-                if json {
-                    println!("{}", diagram_json(&model));
-                } else {
-                    print!("{}", render::ascii(&model));
-                }
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("unknown diagram `{name}`; run `sqlweave features` for the list");
-                ExitCode::FAILURE
-            }
-        },
-    }
+        }
+        None if args.json => features_json(cat, DIAGRAMS).map_err(unregistered)? + "\n",
+        None => features_listing(cat, DIAGRAMS).map_err(unregistered)?,
+    };
+    print!("{out}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_census() -> ExitCode {
+fn cmd_census() -> Result<ExitCode, Fail> {
     let cat = catalog();
     let mut total = 0usize;
     println!("{:<28} {:>8} {:>6} {:>11} {:>15}", "diagram", "features", "depth", "constraints", "configurations");
@@ -1118,7 +845,7 @@ fn cmd_census() -> ExitCode {
         );
     }
     println!("TOTAL: {} diagrams, {total} features", DIAGRAMS.len());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Preset dialect statistics as a `sqlweave-dialects/v1` document.
@@ -1129,7 +856,7 @@ fn dialects_json() -> Result<String, String> {
         let s = p.stats();
         rows.push(format!(
             "{{\"dialect\":{},\"features\":{},\"productions\":{},\"tokens\":{},\"dfa_states\":{},\"byte_classes\":{}}}",
-            json_str(d.name()),
+            json::string(d.name()),
             d.configuration().len(),
             s.productions,
             s.token_rules,
@@ -1139,76 +866,39 @@ fn dialects_json() -> Result<String, String> {
     }
     Ok(format!(
         "{{\"schema\":{},\"dialects\":[{}]}}",
-        json_str(DIALECTS_SCHEMA),
+        json::string(DIALECTS_SCHEMA),
         rows.join(",")
     ))
 }
 
-fn cmd_dialects(args: &[String]) -> ExitCode {
-    let Some((positional, json)) = parse_listing_args(args) else {
-        return usage();
-    };
-    if positional.is_some() {
-        return usage();
-    }
-    if json {
-        return match dialects_json() {
-            Ok(doc) => {
-                println!("{doc}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+fn cmd_dialects(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(args, LISTING_FLAGS, 0)?;
+    if args.json {
+        println!("{}", dialects_json()?);
+        return Ok(ExitCode::SUCCESS);
     }
     println!(
         "{:<10} {:>9} {:>12} {:>8} {:>11} {:>13}",
         "dialect", "features", "productions", "tokens", "DFA states", "byte classes"
     );
     for d in Dialect::ALL {
-        match d.parser() {
-            Ok(p) => {
-                let s = p.stats();
-                println!(
-                    "{:<10} {:>9} {:>12} {:>8} {:>11} {:>13}",
-                    d.name(),
-                    d.configuration().len(),
-                    s.productions,
-                    s.token_rules,
-                    s.dfa_states,
-                    s.byte_classes
-                );
-            }
-            Err(e) => {
-                eprintln!("{}: {e}", d.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let parser = d.parser().map_err(|e| format!("{}: {e}", d.name()))?;
+        let s = parser.stats();
+        println!(
+            "{:<10} {:>9} {:>12} {:>8} {:>11} {:>13}",
+            d.name(),
+            d.configuration().len(),
+            s.productions,
+            s.token_rules,
+            s.dfa_states,
+            s.byte_classes
+        );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compose(features: &[String]) -> ExitCode {
-    if features.is_empty() {
-        return usage();
-    }
-    let cat = catalog();
-    let config = match cat.complete(features.iter().cloned()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid selection: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let composed = match cat.pipeline().compose(&config) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("composition failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_compose(features: &[String]) -> Result<ExitCode, Fail> {
+    let composed = compose(features)?;
     eprintln!(
         "-- {} features composed in sequence; {} productions, {} tokens",
         composed.sequence.len(),
@@ -1216,25 +906,7 @@ fn cmd_compose(features: &[String]) -> ExitCode {
         composed.tokens.len()
     );
     print!("{}", sqlweave_grammar::print::to_dsl(&composed.grammar));
-    ExitCode::SUCCESS
-}
-
-/// Resolve `--dialect NAME` plus the trailing SQL argument.
-fn dialect_and_sql(args: &[String]) -> Option<(Dialect, String)> {
-    let mut dialect = Dialect::Full;
-    let mut sql = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--dialect" {
-            let name = args.get(i + 1)?;
-            dialect = *Dialect::ALL.iter().find(|d| d.name() == *name)?;
-            i += 2;
-        } else {
-            sql = Some(args[i].clone());
-            i += 1;
-        }
-    }
-    Some((dialect, sql?))
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `sqlweave-diagnostics/v1` document: every diagnostic from a
@@ -1248,8 +920,7 @@ fn diagnostics_json(
     let entries: Vec<String> = errors
         .iter()
         .map(|e| {
-            let expected: Vec<String> =
-                e.expected.iter().map(|t| format!("\"{}\"", escape(t))).collect();
+            let expected: Vec<String> = e.expected.iter().map(|t| json::string(t)).collect();
             let found = match &e.found {
                 Some((kind, text)) => {
                     format!("{{\"kind\":\"{}\",\"text\":\"{}\"}}", escape(kind), escape(text))
@@ -1281,14 +952,8 @@ fn diagnostics_json(
 /// mode prints the full-coverage tree then one rustc-style block per
 /// diagnostic; `--format json` emits the `sqlweave-diagnostics/v1`
 /// document. Exit 0 when clean, 1 when any diagnostic was reported.
-fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> ExitCode {
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> Result<ExitCode, Fail> {
+    let parser = dialect.parser()?;
     let mut session = parser.session();
     let outcome = session.parse_resilient(sql);
     if format_json {
@@ -1303,11 +968,7 @@ fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> ExitCode
             }
         }
     }
-    if outcome.errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(verdict(outcome.errors.is_empty()))
 }
 
 /// Batch mode for `parse --stdin`: every non-empty line of stdin is one
@@ -1323,20 +984,13 @@ fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> ExitCode
 /// [`sqlweave_parser_rt::EditError`] — a CLI bug, since the CLI computes
 /// the ranges — is reported as a diagnostic with exit code 2 instead of a
 /// panic. The default is the strict accept/reject contract.
-fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> ExitCode {
+fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> Result<ExitCode, Fail> {
     use std::io::Read as _;
     let mut input = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut input) {
-        eprintln!("cannot read stdin: {e}");
-        return ExitCode::FAILURE;
-    }
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    std::io::stdin()
+        .read_to_string(&mut input)
+        .map_err(|e| format!("cannot read stdin: {e}"))?;
+    let parser = dialect.parser()?;
     let mut session = parser.session();
     if recover {
         session.open_document("");
@@ -1351,13 +1005,15 @@ fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> ExitCo
         }
         total += 1;
         if recover {
-            let outcome = match session.try_apply_edit(0..doc_len, sql) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("internal error applying line {} as an edit: {e}", lineno + 1);
-                    return ExitCode::from(2);
-                }
-            };
+            let outcome = session.try_apply_edit(0..doc_len, sql).map_err(|e| {
+                Fail::Exit(
+                    2,
+                    format!(
+                        "internal error applying line {} as an edit: {e}",
+                        lineno + 1
+                    ),
+                )
+            })?;
             doc_len = sql.len();
             if !outcome.errors.is_empty() {
                 rejected += 1;
@@ -1385,114 +1041,60 @@ fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> ExitCo
         }
     }
     eprintln!("{total} statement(s) through one session, {rejected} rejected");
-    if rejected == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(verdict(rejected == 0))
 }
 
-fn cmd_parse(args: &[String], verbose: bool) -> ExitCode {
-    let mut recover = false;
-    let mut format_json = false;
-    let mut stdin_batch = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--recover" => {
-                recover = true;
-                i += 1;
-            }
-            "--stdin" => {
-                stdin_batch = true;
-                i += 1;
-            }
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => format_json = true,
-                    Some("text") => format_json = false,
-                    _ => return usage(),
-                }
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
+fn cmd_parse(args: &[String], verbose: bool) -> Result<ExitCode, Fail> {
+    let args = parse_args(
+        args,
+        &[
+            ("--dialect", Takes::Value),
+            ("--format", Takes::Value),
+            ("--recover", Takes::Nothing),
+            ("--stdin", Takes::Nothing),
+        ],
+        1,
+    )?;
+    let (recover, stdin) = (args.has("--recover"), args.has("--stdin"));
+    let sql = args.positional();
     // `--recover`, `--format`, and `--stdin` belong to `parse`; `check`
-    // keeps its strict accept/reject contract.
-    if (recover || format_json || stdin_batch) && !verbose {
-        return usage();
+    // keeps its strict accept/reject contract. Only recovery has a
+    // diagnostics document to format, and batch mode reads its SQL from
+    // stdin instead of an argument.
+    if ((recover || stdin || args.json) && !verbose)
+        || (args.json && !recover)
+        || stdin == sql.is_some()
+    {
+        return Err(Fail::Usage);
     }
-    if stdin_batch {
-        // Batch mode reads statements from stdin; the only positional
-        // argument that still makes sense is the dialect selector.
-        let mut dialect = Dialect::Full;
-        let mut i = 0;
-        while i < rest.len() {
-            if rest[i] == "--dialect" {
-                let Some(name) = rest.get(i + 1) else {
-                    return usage();
-                };
-                let Some(&d) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                };
-                dialect = d;
-                i += 2;
-            } else {
-                return usage();
-            }
-        }
-        if format_json && !recover {
-            return usage();
-        }
-        return cmd_parse_stdin(dialect, recover, format_json);
-    }
-    let Some((dialect, sql)) = dialect_and_sql(&rest) else {
-        return usage();
+    let dialect = args.dialect()?.unwrap_or(Dialect::Full);
+    let Some(sql) = sql else {
+        return cmd_parse_stdin(dialect, recover, args.json);
     };
     if recover {
-        return cmd_parse_recover(dialect, &sql, format_json);
+        return cmd_parse_recover(dialect, sql, args.json);
     }
-    if format_json {
-        return usage();
-    }
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let parser = dialect.parser()?;
     let mut session = parser.session();
-    match session.parse_tree(&sql) {
-        Ok(tree) => {
-            if verbose {
-                println!("-- concrete syntax tree --");
-                print!("{}", tree.pretty());
-                match sqlweave_sql_ast::lower::lower_tree(&tree) {
-                    Ok(stmts) => {
-                        println!("-- printed from the AST --");
-                        for s in &stmts {
-                            println!("{}", sqlweave_sql_ast::print::statement(s));
-                        }
-                    }
-                    Err(e) => eprintln!("(lowering failed: {e})"),
+    let tree = session
+        .parse_tree(sql)
+        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
+    if verbose {
+        println!("-- concrete syntax tree --");
+        print!("{}", tree.pretty());
+        match sqlweave_sql_ast::lower::lower_tree(&tree) {
+            Ok(stmts) => {
+                println!("-- printed from the AST --");
+                for s in &stmts {
+                    println!("{}", sqlweave_sql_ast::print::statement(s));
                 }
-            } else {
-                println!("accepted by `{}`", dialect.name());
             }
-            ExitCode::SUCCESS
+            Err(e) => eprintln!("(lowering failed: {e})"),
         }
-        Err(e) => {
-            eprintln!("rejected by `{}`: {e}", dialect.name());
-            ExitCode::FAILURE
-        }
+    } else {
+        println!("accepted by `{}`", dialect.name());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Dump a statement's token stream exactly as the dialect's compiled
@@ -1500,42 +1102,20 @@ fn cmd_parse(args: &[String], verbose: bool) -> ExitCode {
 /// assert against, exposed for debugging token-rule composition. Skip
 /// tokens (whitespace, comments) are consumed, not shown, matching what
 /// the parser sees. `--format json` emits the `sqlweave-lex/v1` document.
-fn cmd_lex(args: &[String]) -> ExitCode {
-    let mut format_json = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--format" {
-            match args.get(i + 1).map(String::as_str) {
-                Some("json") => format_json = true,
-                Some("text") => format_json = false,
-                _ => return usage(),
-            }
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    let Some((dialect, sql)) = dialect_and_sql(&rest) else {
-        return usage();
-    };
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_lex(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(
+        args,
+        &[("--dialect", Takes::Value), ("--format", Takes::Value)],
+        1,
+    )?;
+    let sql = args.positional().ok_or(Fail::Usage)?;
+    let dialect = args.dialect()?.unwrap_or(Dialect::Full);
+    let parser = dialect.parser()?;
     let scanner = parser.scanner();
-    let toks = match scanner.scan(&sql) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("rejected by `{}`: {e}", dialect.name());
-            return ExitCode::FAILURE;
-        }
-    };
-    if format_json {
+    let toks = scanner
+        .scan(sql)
+        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
+    if args.json {
         use sqlweave_lint::json::escape;
         let entries: Vec<String> = toks
             .iter()
@@ -1545,7 +1125,7 @@ fn cmd_lex(args: &[String]) -> ExitCode {
                     escape(scanner.name(t.kind)),
                     t.start,
                     t.end,
-                    escape(t.text(&sql))
+                    escape(t.text(sql))
                 )
             })
             .collect();
@@ -1562,7 +1142,7 @@ fn cmd_lex(args: &[String]) -> ExitCode {
                 scanner.name(t.kind),
                 t.start,
                 t.end,
-                t.text(&sql)
+                t.text(sql)
             );
         }
         println!(
@@ -1572,50 +1152,34 @@ fn cmd_lex(args: &[String]) -> ExitCode {
             scanner.dfa_states()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The "SQL:2003 preprocessor" use of the product line: parse a script with
 /// a dialect and print it back normalized from the AST.
-fn cmd_format(args: &[String]) -> ExitCode {
-    let Some((dialect, sql)) = dialect_and_sql(args) else {
-        return usage();
-    };
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_format(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(args, &[("--dialect", Takes::Value)], 1)?;
+    let sql = args.positional().ok_or(Fail::Usage)?;
+    let dialect = args.dialect()?.unwrap_or(Dialect::Full);
+    let parser = dialect.parser()?;
     let mut session = parser.session();
-    let tree = match session.parse_tree(&sql) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("rejected by `{}`: {e}", dialect.name());
-            return ExitCode::FAILURE;
-        }
-    };
-    match sqlweave_sql_ast::lower::lower_tree(&tree) {
-        Ok(stmts) => {
-            for s in &stmts {
-                println!("{};", sqlweave_sql_ast::print::statement(s));
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("lowering failed: {e}");
-            ExitCode::FAILURE
-        }
+    let tree = session
+        .parse_tree(sql)
+        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
+    let stmts =
+        sqlweave_sql_ast::lower::lower_tree(&tree).map_err(|e| format!("lowering failed: {e}"))?;
+    for s in &stmts {
+        println!("{};", sqlweave_sql_ast::print::statement(s));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Corpus throughput sweep over dialect × engine × parse API. `--json`
 /// emits the `sqlweave-bench-parser/v8` document (already validated by the
-/// runner); the default is a human-readable table with the backtrack-rate
-/// column plus one lex-stage block per dialect (the B6/B9 scanner
-/// ablation) and one `sema` row per pair (the B8 parse + name-resolution
-/// pipeline). `--lookahead K` caps the runtime dispatch depth (the B5
+/// runner); the default renders the same document as a table with the
+/// backtrack-rate column plus one lex-stage block per dialect (the B6/B9
+/// scanner ablation) and one `sema` row per pair (the B8 parse +
+/// name-resolution pipeline). `--lookahead K` caps the runtime dispatch depth (the B5
 /// ablation knob; `1` reproduces the seed backtracking engine).
 /// `--recover` adds the B7 recovery rows (faulty-script throughput,
 /// diagnostic counts, clean-input overhead) to the text table; the JSON
@@ -1637,282 +1201,191 @@ fn cmd_format(args: &[String]) -> ExitCode {
 /// when the vector-over-compiled speedup flattens by the same margin, or
 /// when the incremental `speedup_p50`, tail apply latency, or tree
 /// materialization cost collapses toward full-reparse cost.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut recover = false;
-    let mut iters = 200usize;
-    let mut dialects: Vec<Dialect> = Dialect::ALL.to_vec();
-    let mut out: Option<String> = None;
-    let mut lookahead: Option<usize> = None;
-    let mut corpus_mb = 0usize;
-    let mut edits = 0usize;
-    let mut baseline: Option<String> = None;
-    let mut tolerance_pct = 25.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--recover" => {
-                recover = true;
-                i += 1;
-            }
-            "--lookahead" => {
-                let Some(k) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                lookahead = Some(k);
-                i += 2;
-            }
-            "--iters" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                iters = n;
-                i += 2;
-            }
-            "--corpus-mb" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                corpus_mb = n;
-                i += 2;
-            }
-            "--edits" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                edits = n;
-                i += 2;
-            }
-            "--dialect" => {
-                let Some(name) = args.get(i + 1) else {
-                    return usage();
-                };
-                let Some(&d) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                };
-                dialects = vec![d];
-                i += 2;
-            }
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    return usage();
-                };
-                out = Some(path.clone());
-                i += 2;
-            }
-            "--baseline" => {
-                let Some(path) = args.get(i + 1) else {
-                    return usage();
-                };
-                baseline = Some(path.clone());
-                i += 2;
-            }
-            "--tolerance-pct" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                tolerance_pct = n;
-                i += 2;
-            }
-            _ => return usage(),
-        }
-    }
+fn cmd_bench(args: &[String]) -> Result<ExitCode, Fail> {
+    let args = parse_args(
+        args,
+        &[
+            ("--json", Takes::Nothing),
+            ("--recover", Takes::Nothing),
+            ("--dialect", Takes::Value),
+            ("--iters", Takes::Value),
+            ("--lookahead", Takes::Value),
+            ("--corpus-mb", Takes::Value),
+            ("--edits", Takes::Value),
+            ("--out", Takes::Value),
+            ("--baseline", Takes::Value),
+            ("--tolerance-pct", Takes::Value),
+        ],
+        0,
+    )?;
+    let iters = args.num("--iters")?.unwrap_or(200);
+    let lookahead = args.num("--lookahead")?;
+    let corpus_mb = args.num("--corpus-mb")?.unwrap_or(0);
+    let edits = args.num("--edits")?.unwrap_or(0);
+    let tolerance_pct: f64 = args.num("--tolerance-pct")?.unwrap_or(25.0);
+    let dialects = match args.dialect()? {
+        Some(d) => vec![d],
+        None => Dialect::ALL.to_vec(),
+    };
     if iters == 0 {
-        eprintln!("--iters must be at least 1");
-        return ExitCode::FAILURE;
+        return Err("--iters must be at least 1".to_string().into());
     }
-    if baseline.is_some() && (!json || (corpus_mb == 0 && edits == 0)) {
-        eprintln!(
+    let json = args.has("--json");
+    if args.has("--baseline") && (!json || (corpus_mb == 0 && edits == 0)) {
+        return Err(
             "--baseline requires --json and --corpus-mb N or --edits N (it compares corpus_lex rates and incremental speedups)"
+                .to_string()
+                .into(),
         );
-        return ExitCode::FAILURE;
     }
-    if json {
-        let doc =
-            sqlweave_bench::runner::run_full(&dialects, iters, lookahead, corpus_mb, edits);
-        match &out {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                    eprintln!("cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote {path}");
-            }
-            None => println!("{doc}"),
-        }
-        if let Some(path) = &baseline {
-            let base = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read baseline `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match sqlweave_bench::runner::compare_with_baseline(&doc, &base, tolerance_pct) {
-                Ok(regressions) if regressions.is_empty() => {
-                    eprintln!("baseline check passed (tolerance {tolerance_pct:.0}%)");
-                }
-                Ok(regressions) => {
-                    for r in &regressions {
-                        eprintln!("regression: {r}");
-                    }
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("baseline check failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
+    let doc = sqlweave_bench::runner::run_full(&dialects, iters, lookahead, corpus_mb, edits);
+    if !json {
+        print_bench_table(&doc, args.has("--recover"));
+        return Ok(ExitCode::SUCCESS);
     }
+    match args.value("--out") {
+        Some(path) => write_doc(path, &doc)?,
+        None => println!("{doc}"),
+    }
+    if let Some(path) = args.value("--baseline") {
+        let base = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline `{path}`: {e}"))?;
+        let regressions = sqlweave_bench::runner::compare_with_baseline(&doc, &base, tolerance_pct)
+            .map_err(|e| format!("baseline check failed: {e}"))?;
+        for r in &regressions {
+            eprintln!("regression: {r}");
+        }
+        if !regressions.is_empty() {
+            return Ok(ExitCode::FAILURE);
+        }
+        eprintln!("baseline check passed (tolerance {tolerance_pct:.0}%)");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Print the `bench` text table from the sweep's document, so the table
+/// and `--json` show the same numbers. Every member read here is one that
+/// [`sqlweave_bench::runner::validate`] requires.
+fn print_bench_table(doc: &str, recover: bool) {
+    use json::Value;
+    fn num(v: &Value, key: &str) -> f64 {
+        v.get(key)
+            .and_then(Value::as_num)
+            .expect("validated bench document")
+    }
+    fn text<'a>(v: &'a Value, key: &str) -> &'a str {
+        v.get(key)
+            .and_then(Value::as_str)
+            .expect("validated bench document")
+    }
+    fn list<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+        v.get(key)
+            .and_then(Value::as_arr)
+            .expect("validated bench document")
+    }
+    let doc = json::parse(doc).expect("the runner validated its document");
     println!(
         "{:<10} {:<13} {:<11} {:>11} {:>13} {:>8} {:>8}",
         "dialect", "engine", "api", "stmts/sec", "tokens/sec", "vs seed", "bt-rate"
     );
-    for &d in &dialects {
-        for mode in [
-            sqlweave_parser_rt::EngineMode::Backtracking,
-            sqlweave_parser_rt::EngineMode::Ll1Table,
-        ] {
-            let r = match lookahead {
-                Some(k) => sqlweave_bench::runner::bench_pair_with_lookahead(d, mode, iters, k),
-                None => sqlweave_bench::runner::bench_pair(d, mode, iters),
-            };
-            for a in &r.apis {
-                println!(
-                    "{:<10} {:<13} {:<11} {:>11.0} {:>13.0} {:>7.2}x {:>8.4}",
-                    r.dialect,
-                    r.engine,
-                    a.api,
-                    a.statements_per_sec,
-                    a.tokens_per_sec,
-                    a.speedup_vs_seed,
-                    r.backtrack_rate
-                );
-            }
-            for l in &r.lex {
-                println!(
-                    "{:<10} {:<13} {:<11} {:>11} {:>13.0} {:>7.2}x {:>8}",
-                    r.dialect,
-                    "lex",
-                    l.scanner,
-                    format!("{:.1} MB/s", l.mbytes_per_sec),
-                    l.tokens_per_sec,
-                    l.speedup_vs_interval,
-                    format!("bc={}", r.byte_classes)
-                );
-            }
-            // The B8 row: parse + name-resolution throughput and its cost
-            // relative to the bare `event_tree` parse.
+    for r in list(&doc, "results") {
+        let (dialect, engine) = (text(r, "dialect"), text(r, "engine"));
+        for a in list(r, "apis") {
+            println!(
+                "{:<10} {:<13} {:<11} {:>11.0} {:>13.0} {:>7.2}x {:>8.4}",
+                dialect,
+                engine,
+                text(a, "api"),
+                num(a, "statements_per_sec"),
+                num(a, "tokens_per_sec"),
+                num(a, "speedup_vs_seed"),
+                num(r, "backtrack_rate")
+            );
+        }
+        for l in list(r, "lex") {
+            println!(
+                "{:<10} {:<13} {:<11} {:>11} {:>13.0} {:>7.2}x {:>8}",
+                dialect,
+                "lex",
+                text(l, "scanner"),
+                format!("{:.1} MB/s", num(l, "mbytes_per_sec")),
+                num(l, "tokens_per_sec"),
+                num(l, "speedup_vs_interval"),
+                format!("bc={}", num(r, "byte_classes"))
+            );
+        }
+        // The B8 row: parse + name-resolution throughput and its cost
+        // relative to the bare `event_tree` parse.
+        let sema = r.get("sema").expect("validated bench document");
+        println!(
+            "{:<10} {:<13} {:<11} {:>11.0} {:>13} {:>7.2}x {:>8}",
+            dialect,
+            engine,
+            "sema",
+            num(sema, "statements_per_sec"),
+            format!("{} edges", num(sema, "column_edges")),
+            num(sema, "overhead_vs_parse"),
+            "resolve"
+        );
+        if recover {
+            // The B7 row: faulty-script throughput, total diagnostics
+            // over the error-density corpus, and the clean-input
+            // overhead of the resilient driver vs `event_tree`.
+            let recovery = r.get("recovery").expect("validated bench document");
             println!(
                 "{:<10} {:<13} {:<11} {:>11.0} {:>13} {:>7.2}x {:>8}",
-                r.dialect,
-                r.engine,
-                "sema",
-                r.sema.statements_per_sec,
-                format!("{} edges", r.sema.column_edges),
-                r.sema.overhead_vs_parse,
-                "resolve"
+                dialect,
+                engine,
+                "recover",
+                num(recovery, "scripts_per_sec"),
+                format!("{} errors", num(recovery, "errors")),
+                num(recovery, "clean_overhead"),
+                format!("n={}", num(recovery, "scripts"))
             );
-            if recover {
-                // The B7 row: faulty-script throughput, total diagnostics
-                // over the error-density corpus, and the clean-input
-                // overhead of the resilient driver vs `event_tree`.
-                println!(
-                    "{:<10} {:<13} {:<11} {:>11.0} {:>13} {:>7.2}x {:>8}",
-                    r.dialect,
-                    r.engine,
-                    "recover",
-                    r.recovery.scripts_per_sec,
-                    format!("{} errors", r.recovery.errors),
-                    r.recovery.clean_overhead,
-                    format!("n={}", r.recovery.scripts)
-                );
-            }
         }
     }
     // The B9 steady-state rows: scanner throughput over a generated
     // multi-MiB script, per dialect (no engine column — lexing is
     // engine-independent).
-    if corpus_mb > 0 {
-        for &d in &dialects {
-            let c = sqlweave_bench::runner::bench_lex_corpus(d, corpus_mb, 5);
-            for l in &c.scanners {
-                println!(
-                    "{:<10} {:<13} {:<11} {:>11} {:>13.0} {:>7.2}x {:>8}",
-                    c.dialect,
-                    format!("corpus-{}mb", c.mebibytes),
-                    l.scanner,
-                    format!("{:.1} MB/s", l.mbytes_per_sec),
-                    l.tokens_per_sec,
-                    l.speedup_vs_interval,
-                    c.simd_level
-                );
-            }
+    for c in list(&doc, "corpus_lex") {
+        for l in list(c, "scanners") {
+            println!(
+                "{:<10} {:<13} {:<11} {:>11} {:>13.0} {:>7.2}x {:>8}",
+                text(c, "dialect"),
+                format!("corpus-{}mb", num(c, "mebibytes")),
+                text(l, "scanner"),
+                format!("{:.1} MB/s", num(l, "mbytes_per_sec")),
+                num(l, "tokens_per_sec"),
+                num(l, "speedup_vs_interval"),
+                text(c, "simd_level")
+            );
         }
     }
     // The B11 keystroke-latency rows: single-token edits through one
     // incremental session per dialect × engine pair vs a from-scratch
-    // reparse of the same script.
-    if edits > 0 {
-        let mb = if corpus_mb > 0 { corpus_mb } else { 4 };
-        for &d in &dialects {
-            for mode in
-                [sqlweave_parser_rt::EngineMode::Backtracking, sqlweave_parser_rt::EngineMode::Ll1Table]
-            {
-                let r = sqlweave_bench::runner::bench_incremental(d, mode, mb, edits);
-                println!(
-                    "{:<10} {:<13} {:<11} {:>11} {:>13} {:>13} {:>7.0}x {:>8}",
-                    r.dialect,
-                    r.engine,
-                    format!("edit-{mb}mb"),
-                    format!("{:.0} us p50", r.apply_edit_us_p50),
-                    format!("{:.0} us p99", r.apply_edit_us_p99),
-                    format!("{:.0} us mat", r.materialize_us_p50),
-                    r.speedup_p50,
-                    format!("n={}", r.edits)
-                );
-            }
-        }
+    // reparse of the same script. A generated script overshoots its MiB
+    // target by less than one statement, so its size floors to the target.
+    for i in list(&doc, "incremental") {
+        println!(
+            "{:<10} {:<13} {:<11} {:>11} {:>13} {:>13} {:>7.0}x {:>8}",
+            text(i, "dialect"),
+            text(i, "engine"),
+            format!("edit-{}mb", num(i, "bytes") as usize >> 20),
+            format!("{:.0} us p50", num(i, "apply_edit_us_p50")),
+            format!("{:.0} us p99", num(i, "apply_edit_us_p99")),
+            format!("{:.0} us mat", num(i, "materialize_us_p50")),
+            num(i, "speedup_p50"),
+            format!("n={}", num(i, "edits"))
+        );
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_generate(features: &[String]) -> ExitCode {
-    if features.is_empty() {
-        return usage();
-    }
-    let cat = catalog();
-    let config = match cat.complete(features.iter().cloned()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid selection: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let composed = match cat.pipeline().compose(&config) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("composition failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match sqlweave_parser_rt::codegen::generate(&composed.grammar, &composed.tokens) {
-        Ok(src) => {
-            print!("{src}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("codegen failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_generate(features: &[String]) -> Result<ExitCode, Fail> {
+    let composed = compose(features)?;
+    let src = sqlweave_parser_rt::codegen::generate(&composed.grammar, &composed.tokens)
+        .map_err(|e| format!("codegen failed: {e}"))?;
+    print!("{src}");
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -1981,7 +1454,12 @@ mod tests {
 
     #[test]
     fn listing_and_certify_args_parse_and_reject() {
-        let ok = |v: &[&str]| parse_listing_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let strings = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // `features` takes one optional diagram name.
+        let ok = |v: &[&str]| {
+            let args = parse_args(&strings(v), LISTING_FLAGS, 1).ok()?;
+            Some((args.positional().map(String::from), args.json))
+        };
         assert_eq!(ok(&[]), Some((None, false)));
         assert_eq!(
             ok(&["order_by", "--format", "json"]),
@@ -1990,8 +1468,13 @@ mod tests {
         assert_eq!(ok(&["--format", "yaml"]), None);
         assert_eq!(ok(&["a", "b"]), None);
 
-        let cargs = |v: &[&str]| parse_certify_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        let parsed = cargs(&[
+        let cargs = |v: &[&str]| {
+            let args = parse_args(&strings(v), CERTIFY_FLAGS, 0).ok()?;
+            let opts = certify_options(&args).ok()?;
+            let models: Vec<String> = args.values("--dialect-model").map(String::from).collect();
+            Some((models, opts, args.json))
+        };
+        let (models, opts, format_json) = cargs(&[
             "--dialect-model",
             "group_by",
             "--limit",
@@ -2002,11 +1485,13 @@ mod tests {
             "json",
         ])
         .unwrap();
-        assert_eq!(parsed.models, vec!["group_by"]);
-        assert_eq!(parsed.limit, 16);
-        assert!(parsed.force_sample && parsed.format_json);
+        assert_eq!(models, vec!["group_by"]);
+        assert_eq!(opts.limit, 16);
+        assert!(opts.force_sample && format_json);
         assert!(cargs(&["--limit", "0"]).is_none());
         assert!(cargs(&["--sample", "random"]).is_none());
+        let (models, _, _) = cargs(&["--dialect-model", "a", "--dialect-model", "b"]).unwrap();
+        assert_eq!(models, vec!["a", "b"]);
     }
 
     #[test]

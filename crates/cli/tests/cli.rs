@@ -91,6 +91,13 @@ fn check_accepts_and_rejects() {
     let bad = run(&["check", "--dialect", "tiny", "SELECT a AS b FROM t"]);
     assert_eq!(bad.status.code(), Some(1));
     assert!(stderr(&bad).contains("rejected"));
+
+    let unknown = run(&["check", "--dialect", "nosuch", "SELECT a FROM t"]);
+    assert_eq!(unknown.status.code(), Some(1));
+    assert!(stderr(&unknown).contains("unknown dialect `nosuch`"), "{}", stderr(&unknown));
+    // A misspelled flag is not SQL, and neither is a second script.
+    assert_eq!(run(&["check", "--dialect", "core", "--recovr"]).status.code(), Some(2));
+    assert_eq!(run(&["check", "--dialect", "core", "SELECT a FROM t", "SELECT b FROM u"]).status.code(), Some(2));
 }
 
 #[test]
@@ -168,6 +175,10 @@ fn parse_recover_flags_rejected_elsewhere() {
         run(&["parse", "--recover", "--format", "yaml", "--dialect", "core", "x"]).status.code(),
         Some(2)
     );
+    assert_eq!(run(&["parse", "--dialect", "core", "SELECT a FROM t", "--stdln"]).status.code(), Some(2));
+    let unknown = run(&["parse", "--dialect", "nosuch", "SELECT a FROM t"]);
+    assert_eq!(unknown.status.code(), Some(1));
+    assert!(stderr(&unknown).contains("unknown dialect `nosuch`"), "{}", stderr(&unknown));
 }
 
 #[test]
@@ -503,6 +514,12 @@ fn lex_rejects_bad_input_and_flags() {
     assert!(stderr(&o).contains("line 1, column 8"), "{}", stderr(&o));
     assert_eq!(run(&["lex", "--dialect", "core"]).status.code(), Some(2));
     assert_eq!(run(&["lex", "--format", "yaml", "--dialect", "core", "SELECT 1"]).status.code(), Some(2));
+    assert_eq!(run(&["lex", "--dialect", "core", "SELECT 1", "SELECT 2"]).status.code(), Some(2));
+    for cmd in ["lex", "format"] {
+        let o = run(&[cmd, "--dialect", "nosuch", "SELECT 1"]);
+        assert_eq!(o.status.code(), Some(1), "{cmd}");
+        assert!(stderr(&o).contains("unknown dialect `nosuch`"), "{cmd}: {}", stderr(&o));
+    }
 }
 
 fn golden(name: &str) -> String {
@@ -642,4 +659,7 @@ fn lineage_rejects_bad_flags() {
     // Per-dialect knobs only make sense with an explicit script.
     assert_eq!(run(&["lineage", "--dialect", "core", "--check", "x.json"]).status.code(), Some(2));
     assert_eq!(run(&["lineage", "--format", "yaml", "SELECT a FROM t"]).status.code(), Some(2));
+    // SQL that opens with a `--` comment is a script, not a flag.
+    let o = run(&["lineage", "--dialect", "core", "-- note\nSELECT a FROM t"]);
+    assert!(o.status.success(), "{}", stderr(&o));
 }

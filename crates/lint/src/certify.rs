@@ -561,14 +561,11 @@ pub fn certify_default(opts: &CertifyOptions) -> Vec<ModelCertification> {
 /// `configs_total` is a decimal **string** (or null): the count is u128 and
 /// must survive parsers that read numbers as f64.
 pub fn certification_json(certs: &[ModelCertification], limit: usize) -> String {
-    fn s(v: &str) -> String {
-        format!("\"{}\"", json::escape(v))
-    }
     let models: Vec<String> = certs
         .iter()
         .map(|c| {
             let total = match c.total {
-                Some(n) => s(&n.to_string()),
+                Some(n) => json::string(&n.to_string()),
                 None => "null".to_string(),
             };
             let coverage = match &c.coverage {
@@ -587,26 +584,27 @@ pub fn certification_json(certs: &[ModelCertification], limit: usize) -> String 
                 .iter()
                 .map(|f| {
                     let underlying = match f.underlying {
-                        Some(u) => s(u.id()),
+                        Some(u) => json::string(u.id()),
                         None => "null".to_string(),
                     };
-                    let presence: Vec<String> = f.presence.iter().map(|p| s(p)).collect();
+                    let presence: Vec<String> =
+                        f.presence.iter().map(|p| json::string(p)).collect();
                     format!(
                         "{{\"code\":{},\"severity\":{},\"underlying\":{},\"site\":{},\"presence\":[{}],\"witness\":{},\"detail\":{}}}",
-                        s(f.code.id()),
-                        s(&f.code.severity().to_string()),
+                        json::string(f.code.id()),
+                        json::string(&f.code.severity().to_string()),
                         underlying,
-                        s(&f.site),
+                        json::string(&f.site),
                         presence.join(","),
-                        s(&f.witness.to_string()),
-                        s(&f.detail)
+                        json::string(&f.witness.to_string()),
+                        json::string(&f.detail)
                     )
                 })
                 .collect();
             format!(
                 "{{\"model\":{},\"mode\":{},\"configs_total\":{},\"enumerated\":{},\"analyzed\":{},\"unliftable\":{},\"coverage\":{},\"findings\":[{}]}}",
-                s(&c.subject),
-                s(if c.exact { "exact" } else { "sampled" }),
+                json::string(&c.subject),
+                json::string(if c.exact { "exact" } else { "sampled" }),
                 total,
                 c.enumerated,
                 c.analyzed,
@@ -618,7 +616,7 @@ pub fn certification_json(certs: &[ModelCertification], limit: usize) -> String 
         .collect();
     format!(
         "{{\"schema\":{},\"limit\":{},\"models\":[{}]}}",
-        s(CERTIFY_SCHEMA),
+        json::string(CERTIFY_SCHEMA),
         limit,
         models.join(",")
     )

@@ -30,7 +30,8 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn string(s: &str) -> String {
+/// `s` as a quoted JSON string literal.
+pub fn string(s: &str) -> String {
     format!("\"{}\"", escape(s))
 }
 

@@ -1,16 +1,12 @@
 //! Lineage serialization: the `sqlweave-lineage/v1` JSON document and the
 //! human-readable text rendering behind `sqlweave lineage`.
 
-use sqlweave_lint::json::escape;
+use sqlweave_lint::json::string;
 
 use crate::resolve::{Analysis, StatementLineage};
 
 /// Identifier carried by every lineage JSON document.
 pub const LINEAGE_SCHEMA: &str = "sqlweave-lineage/v1";
-
-fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
-}
 
 fn span_json(span: (usize, usize)) -> String {
     format!("{{\"start\":{},\"end\":{}}}", span.0, span.1)
