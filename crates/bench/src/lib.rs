@@ -1,20 +1,20 @@
-//! Workload generation and shared fixtures for the benchmark harness and
-//! the experiment integration tests.
+//! Workload generation and shared fixtures for the integration tests.
 //!
-//! Two workload sources:
+//! Three workload sources:
 //!
-//! * [`corpus`] — curated statements per dialect, exercising each statement
-//!   class the dialect supports (the "realistic usage" workload).
+//! * [`corpus()`] — curated statements per dialect, exercising each
+//!   statement class the dialect supports (the "realistic usage" workload).
 //! * [`generated`] — grammar-driven random sentences sampled from the
 //!   dialect's *own composed grammar* (seeded, reproducible), the
 //!   stress/sweep workload.
+//! * [`corpus::generate_script`] — seeded multi-statement scripts of any
+//!   size, the input of the scanner and incremental work-count gates.
 //!
 //! Parsers are cached per `(dialect, engine)` in [`parser`] because full
-//! composition takes tens of milliseconds and benches/tests request them
+//! composition takes tens of milliseconds and tests request them
 //! repeatedly.
 
 pub mod corpus;
-pub mod runner;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,8 +151,7 @@ pub fn corpus(dialect: Dialect) -> Vec<&'static str> {
 }
 
 /// Deterministically corrupted multi-statement scripts — the error-density
-/// workload behind the recovery bench column (Experiment B7) and the
-/// recovery differential suite.
+/// workload of the recovery differential suite.
 ///
 /// Corpus statements are grouped three to a script (`; `-joined) and one
 /// statement per script is corrupted by duplicating its leading keyword

@@ -22,7 +22,6 @@
 //! sqlweave lineage --dialect NAME SQL  table/column lineage for a script
 //! sqlweave analyze [--all-dialects]    LL(k) conflict classification report
 //! sqlweave certify [--dialect-model N] family-based product-line certification
-//! sqlweave bench [--json]              corpus throughput per dialect × engine
 //! ```
 
 use sqlweave_dialects::Dialect;
@@ -57,10 +56,7 @@ fn usage() -> ExitCode {
          sqlweave analyze [--dialect NAME | --all-dialects] [--lookahead K]\n  \
          sqlweave analyze ... [--format text|json] [--check FILE] [--write FILE]\n  \
          sqlweave certify [--dialect-model NAME] [--limit N] [--sample pairwise]\n  \
-         sqlweave certify ... [--format text|json] [--check FILE] [--write FILE]\n  \
-         sqlweave bench [--json] [--recover] [--dialect NAME] [--iters N] [--lookahead K]\n  \
-         sqlweave bench ... [--corpus-mb N] [--edits N] [--out FILE]\n  \
-         sqlweave bench ... [--baseline FILE] [--tolerance-pct N]"
+         sqlweave certify ... [--format text|json] [--check FILE] [--write FILE]"
     );
     ExitCode::from(2)
 }
@@ -72,7 +68,7 @@ fn main() -> ExitCode {
     };
     let result = match cmd.as_str() {
         "features" => cmd_features(args),
-        "census" => cmd_census(),
+        "census" => cmd_census(args),
         "dialects" => cmd_dialects(args),
         "compose" => cmd_compose(args),
         "parse" => cmd_parse(args, true),
@@ -84,7 +80,6 @@ fn main() -> ExitCode {
         "lineage" => cmd_lineage(args),
         "analyze" => cmd_analyze(args),
         "certify" => cmd_certify(args),
-        "bench" => cmd_bench(args),
         _ => Err(Fail::Usage),
     };
     match result {
@@ -826,7 +821,8 @@ fn cmd_features(args: &[String]) -> Result<ExitCode, Fail> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_census() -> Result<ExitCode, Fail> {
+fn cmd_census(args: &[String]) -> Result<ExitCode, Fail> {
+    parse_args(args, &[], 0)?;
     let cat = catalog();
     let mut total = 0usize;
     println!("{:<28} {:>8} {:>6} {:>11} {:>15}", "diagram", "features", "depth", "constraints", "configurations");
@@ -897,8 +893,8 @@ fn cmd_dialects(args: &[String]) -> Result<ExitCode, Fail> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compose(features: &[String]) -> Result<ExitCode, Fail> {
-    let composed = compose(features)?;
+fn cmd_compose(args: &[String]) -> Result<ExitCode, Fail> {
+    let composed = compose(&parse_args(args, &[], usize::MAX)?.positionals)?;
     eprintln!(
         "-- {} features composed in sequence; {} productions, {} tokens",
         composed.sequence.len(),
@@ -1174,214 +1170,8 @@ fn cmd_format(args: &[String]) -> Result<ExitCode, Fail> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Corpus throughput sweep over dialect × engine × parse API. `--json`
-/// emits the `sqlweave-bench-parser/v8` document (already validated by the
-/// runner); the default renders the same document as a table with the
-/// backtrack-rate column plus one lex-stage block per dialect (the B6/B9
-/// scanner ablation) and one `sema` row per pair (the B8 parse +
-/// name-resolution pipeline). `--lookahead K` caps the runtime dispatch depth (the B5
-/// ablation knob; `1` reproduces the seed backtracking engine).
-/// `--recover` adds the B7 recovery rows (faulty-script throughput,
-/// diagnostic counts, clean-input overhead) to the text table; the JSON
-/// document always carries them. `--corpus-mb N` additionally lexes an
-/// N-MiB script generated from each dialect's own grammar weights with
-/// the vector/compiled/interval substrates — the steady-state throughput
-/// sweep of Experiment B9 (`corpus_lex` in the JSON document).
-/// `--edits N` runs the B11 keystroke-latency ablation: N single-token
-/// edits applied through one incremental `ParseSession` on a generated
-/// script (`--corpus-mb` sizes it, default 4 MiB), reporting p50/p99
-/// apply latency — plus the median cost of materializing the tree after
-/// an edit, which the lazy outcome keeps off the keystroke path —
-/// against the from-scratch reparse of the same document
-/// (`incremental` in the JSON document).
-/// `--baseline FILE` (JSON mode, needs `--corpus-mb` or `--edits`) gates
-/// the fresh document against a checked-in one: the CI tripwire fails the
-/// run when the compiled or vector scanner loses more than
-/// `--tolerance-pct` (default 25) of the baseline's corpus throughput,
-/// when the vector-over-compiled speedup flattens by the same margin, or
-/// when the incremental `speedup_p50`, tail apply latency, or tree
-/// materialization cost collapses toward full-reparse cost.
-fn cmd_bench(args: &[String]) -> Result<ExitCode, Fail> {
-    let args = parse_args(
-        args,
-        &[
-            ("--json", Takes::Nothing),
-            ("--recover", Takes::Nothing),
-            ("--dialect", Takes::Value),
-            ("--iters", Takes::Value),
-            ("--lookahead", Takes::Value),
-            ("--corpus-mb", Takes::Value),
-            ("--edits", Takes::Value),
-            ("--out", Takes::Value),
-            ("--baseline", Takes::Value),
-            ("--tolerance-pct", Takes::Value),
-        ],
-        0,
-    )?;
-    let iters = args.num("--iters")?.unwrap_or(200);
-    let lookahead = args.num("--lookahead")?;
-    let corpus_mb = args.num("--corpus-mb")?.unwrap_or(0);
-    let edits = args.num("--edits")?.unwrap_or(0);
-    let tolerance_pct: f64 = args.num("--tolerance-pct")?.unwrap_or(25.0);
-    let dialects = match args.dialect()? {
-        Some(d) => vec![d],
-        None => Dialect::ALL.to_vec(),
-    };
-    if iters == 0 {
-        return Err("--iters must be at least 1".to_string().into());
-    }
-    let json = args.has("--json");
-    if args.has("--baseline") && (!json || (corpus_mb == 0 && edits == 0)) {
-        return Err(
-            "--baseline requires --json and --corpus-mb N or --edits N (it compares corpus_lex rates and incremental speedups)"
-                .to_string()
-                .into(),
-        );
-    }
-    let doc = sqlweave_bench::runner::run_full(&dialects, iters, lookahead, corpus_mb, edits);
-    if !json {
-        print_bench_table(&doc, args.has("--recover"));
-        return Ok(ExitCode::SUCCESS);
-    }
-    match args.value("--out") {
-        Some(path) => write_doc(path, &doc)?,
-        None => println!("{doc}"),
-    }
-    if let Some(path) = args.value("--baseline") {
-        let base = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline `{path}`: {e}"))?;
-        let regressions = sqlweave_bench::runner::compare_with_baseline(&doc, &base, tolerance_pct)
-            .map_err(|e| format!("baseline check failed: {e}"))?;
-        for r in &regressions {
-            eprintln!("regression: {r}");
-        }
-        if !regressions.is_empty() {
-            return Ok(ExitCode::FAILURE);
-        }
-        eprintln!("baseline check passed (tolerance {tolerance_pct:.0}%)");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Print the `bench` text table from the sweep's document, so the table
-/// and `--json` show the same numbers. Every member read here is one that
-/// [`sqlweave_bench::runner::validate`] requires.
-fn print_bench_table(doc: &str, recover: bool) {
-    use json::Value;
-    fn num(v: &Value, key: &str) -> f64 {
-        v.get(key)
-            .and_then(Value::as_num)
-            .expect("validated bench document")
-    }
-    fn text<'a>(v: &'a Value, key: &str) -> &'a str {
-        v.get(key)
-            .and_then(Value::as_str)
-            .expect("validated bench document")
-    }
-    fn list<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-        v.get(key)
-            .and_then(Value::as_arr)
-            .expect("validated bench document")
-    }
-    let doc = json::parse(doc).expect("the runner validated its document");
-    println!(
-        "{:<10} {:<13} {:<11} {:>11} {:>13} {:>8} {:>8}",
-        "dialect", "engine", "api", "stmts/sec", "tokens/sec", "vs seed", "bt-rate"
-    );
-    for r in list(&doc, "results") {
-        let (dialect, engine) = (text(r, "dialect"), text(r, "engine"));
-        for a in list(r, "apis") {
-            println!(
-                "{:<10} {:<13} {:<11} {:>11.0} {:>13.0} {:>7.2}x {:>8.4}",
-                dialect,
-                engine,
-                text(a, "api"),
-                num(a, "statements_per_sec"),
-                num(a, "tokens_per_sec"),
-                num(a, "speedup_vs_seed"),
-                num(r, "backtrack_rate")
-            );
-        }
-        for l in list(r, "lex") {
-            println!(
-                "{:<10} {:<13} {:<11} {:>11} {:>13.0} {:>7.2}x {:>8}",
-                dialect,
-                "lex",
-                text(l, "scanner"),
-                format!("{:.1} MB/s", num(l, "mbytes_per_sec")),
-                num(l, "tokens_per_sec"),
-                num(l, "speedup_vs_interval"),
-                format!("bc={}", num(r, "byte_classes"))
-            );
-        }
-        // The B8 row: parse + name-resolution throughput and its cost
-        // relative to the bare `event_tree` parse.
-        let sema = r.get("sema").expect("validated bench document");
-        println!(
-            "{:<10} {:<13} {:<11} {:>11.0} {:>13} {:>7.2}x {:>8}",
-            dialect,
-            engine,
-            "sema",
-            num(sema, "statements_per_sec"),
-            format!("{} edges", num(sema, "column_edges")),
-            num(sema, "overhead_vs_parse"),
-            "resolve"
-        );
-        if recover {
-            // The B7 row: faulty-script throughput, total diagnostics
-            // over the error-density corpus, and the clean-input
-            // overhead of the resilient driver vs `event_tree`.
-            let recovery = r.get("recovery").expect("validated bench document");
-            println!(
-                "{:<10} {:<13} {:<11} {:>11.0} {:>13} {:>7.2}x {:>8}",
-                dialect,
-                engine,
-                "recover",
-                num(recovery, "scripts_per_sec"),
-                format!("{} errors", num(recovery, "errors")),
-                num(recovery, "clean_overhead"),
-                format!("n={}", num(recovery, "scripts"))
-            );
-        }
-    }
-    // The B9 steady-state rows: scanner throughput over a generated
-    // multi-MiB script, per dialect (no engine column — lexing is
-    // engine-independent).
-    for c in list(&doc, "corpus_lex") {
-        for l in list(c, "scanners") {
-            println!(
-                "{:<10} {:<13} {:<11} {:>11} {:>13.0} {:>7.2}x {:>8}",
-                text(c, "dialect"),
-                format!("corpus-{}mb", num(c, "mebibytes")),
-                text(l, "scanner"),
-                format!("{:.1} MB/s", num(l, "mbytes_per_sec")),
-                num(l, "tokens_per_sec"),
-                num(l, "speedup_vs_interval"),
-                text(c, "simd_level")
-            );
-        }
-    }
-    // The B11 keystroke-latency rows: single-token edits through one
-    // incremental session per dialect × engine pair vs a from-scratch
-    // reparse of the same script. A generated script overshoots its MiB
-    // target by less than one statement, so its size floors to the target.
-    for i in list(&doc, "incremental") {
-        println!(
-            "{:<10} {:<13} {:<11} {:>11} {:>13} {:>13} {:>7.0}x {:>8}",
-            text(i, "dialect"),
-            text(i, "engine"),
-            format!("edit-{}mb", num(i, "bytes") as usize >> 20),
-            format!("{:.0} us p50", num(i, "apply_edit_us_p50")),
-            format!("{:.0} us p99", num(i, "apply_edit_us_p99")),
-            format!("{:.0} us mat", num(i, "materialize_us_p50")),
-            num(i, "speedup_p50"),
-            format!("n={}", num(i, "edits"))
-        );
-    }
-}
-
-fn cmd_generate(features: &[String]) -> Result<ExitCode, Fail> {
-    let composed = compose(features)?;
+fn cmd_generate(args: &[String]) -> Result<ExitCode, Fail> {
+    let composed = compose(&parse_args(args, &[], usize::MAX)?.positionals)?;
     let src = sqlweave_parser_rt::codegen::generate(&composed.grammar, &composed.tokens)
         .map_err(|e| format!("codegen failed: {e}"))?;
     print!("{src}");

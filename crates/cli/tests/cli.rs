@@ -179,45 +179,19 @@ fn parse_recover_flags_rejected_elsewhere() {
     let unknown = run(&["parse", "--dialect", "nosuch", "SELECT a FROM t"]);
     assert_eq!(unknown.status.code(), Some(1));
     assert!(stderr(&unknown).contains("unknown dialect `nosuch`"), "{}", stderr(&unknown));
-}
-
-#[test]
-fn bench_recover_prints_recovery_rows() {
-    let o = run(&["bench", "--recover", "--dialect", "pico", "--iters", "1"]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    let out = stdout(&o);
-    assert!(out.contains("recover"), "{out}");
-    assert!(out.contains("errors"), "{out}");
-}
-
-#[test]
-fn bench_edits_prints_apply_edit_row() {
-    let o = run(&[
-        "bench", "--dialect", "pico", "--iters", "1", "--corpus-mb", "1", "--edits", "4",
-    ]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    let out = stdout(&o);
-    // One row per engine: apply p50/p99, lazy-materialize p50, speedup.
-    assert!(out.contains("edit-1mb"), "{out}");
-    assert!(out.contains("us p50"), "{out}");
-    assert!(out.contains("us mat"), "{out}");
-    for engine in ["backtracking", "ll1_table"] {
-        let row = out
-            .lines()
-            .find(|l| l.contains("edit-1mb") && l.contains(engine));
-        assert!(row.is_some(), "missing edit-1mb row for {engine}: {out}");
+    // The subcommands without flags reject every flag, `census` any
+    // argument, and `bench` is no subcommand at all.
+    for args in [
+        &["census", "--bogus"][..],
+        &["census", "where"],
+        &["compose", "query_statement", "--bogus"],
+        &["generate", "--bogus", "query_statement"],
+        &["bench", "--dialect", "pico"],
+    ] {
+        let o = run(args);
+        assert_eq!(o.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&o).contains("usage"), "{args:?}: {}", stderr(&o));
     }
-}
-
-#[test]
-fn bench_baseline_requires_gated_sections() {
-    // `--baseline` gates corpus-lex and incremental rows; without
-    // `--json` plus at least one of `--corpus-mb`/`--edits` there is
-    // nothing to compare, and the runner must say so instead of silently
-    // skipping the gate.
-    let o = run(&["bench", "--dialect", "pico", "--iters", "1", "--baseline", "BENCH_parser.json"]);
-    assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
-    assert!(stderr(&o).contains("--baseline"), "{}", stderr(&o));
 }
 
 fn run_with_stdin(args: &[&str], input: &str) -> Output {
@@ -317,6 +291,17 @@ fn generate_emits_rust_source() {
     let out = stdout(&o);
     assert!(out.contains("pub enum TokenKind"), "{out}");
     assert!(out.contains("fn parse_sql_script"), "{out}");
+}
+
+#[test]
+fn generate_is_deterministic() {
+    let args = ["generate", "query_statement", "select_sublist"];
+    let (a, b) = (run(&args), run(&args));
+    assert!(a.status.success() && b.status.success());
+    assert!(
+        a.stdout == b.stdout,
+        "two runs of `generate` printed different source"
+    );
 }
 
 fn fixture(name: &str) -> String {

@@ -212,7 +212,7 @@ impl CompiledDfa {
 
     /// Number of byte equivalence classes, reject class included — the
     /// width of the dispatch table and the size metric reported by
-    /// `sqlweave bench` (schema v3).
+    /// `sqlweave dialects`.
     pub fn byte_classes(&self) -> usize {
         self.n_classes
     }

@@ -680,78 +680,9 @@ mod tests {
         }
     }
 
-    /// SQL:2003 reserved words plus a few common non-reserved ones.
-    const SQL_KEYWORDS: &str = "
-        ABS ALL ALLOCATE ALTER AND ANY ARE ARRAY AS ASC ASENSITIVE ASYMMETRIC AT ATOMIC
-        AUTHORIZATION AVG BEGIN BETWEEN BIGINT BINARY BLOB BOOLEAN BOTH BY CALL CALLED
-        CARDINALITY CASCADED CASE CAST CEIL CEILING CHAR CHARACTER CHARACTER_LENGTH
-        CHAR_LENGTH CHECK CLOB CLOSE COALESCE COLLATE COLLECT COLUMN COMMIT CONDITION
-        CONNECT CONSTRAINT CONVERT CORR CORRESPONDING COUNT COVAR_POP COVAR_SAMP CREATE
-        CROSS CUBE CUME_DIST CURRENT CURRENT_DATE CURRENT_DEFAULT_TRANSFORM_GROUP
-        CURRENT_PATH CURRENT_ROLE CURRENT_TIME CURRENT_TIMESTAMP
-        CURRENT_TRANSFORM_GROUP_FOR_TYPE CURRENT_USER CURSOR CYCLE DATE DAY DEALLOCATE
-        DEC DECIMAL DECLARE DEFAULT DELETE DENSE_RANK DEREF DESC DESCRIBE DETERMINISTIC
-        DISCONNECT DISTINCT DOUBLE DROP DYNAMIC EACH ELEMENT ELSE END ESCAPE EVERY EXCEPT
-        EXEC EXECUTE EXISTS EXP EXTERNAL EXTRACT FALSE FETCH FILTER FIRST FLOAT FLOOR FOR
-        FOREIGN FREE FROM FULL FUNCTION FUSION GET GLOBAL GRANT GROUP GROUPING HAVING
-        HOLD HOUR IDENTITY IN INDICATOR INNER INOUT INSENSITIVE INSERT INT INTEGER
-        INTERSECT INTERSECTION INTERVAL INTO IS JOIN LANGUAGE LARGE LAST LATERAL LEADING
-        LEFT LIKE LIMIT LN LOCAL LOCALTIME LOCALTIMESTAMP LOWER MATCH MAX MEMBER MERGE
-        METHOD MIN MINUTE MOD MODIFIES MODULE MONTH MULTISET NATIONAL NATURAL NCHAR
-        NCLOB NEW NEXT NO NONE NORMALIZE NOT NULL NULLIF NULLS NUMERIC OCTET_LENGTH OF
-        OFFSET OLD ON ONLY OPEN OR ORDER OUT OUTER OVER OVERLAPS OVERLAY PARAMETER
-        PARTITION PERCENTILE_CONT PERCENTILE_DISC PERCENT_RANK POSITION POWER PRECISION
-        PREPARE PRIMARY PROCEDURE RANGE RANK READS REAL RECURSIVE REF REFERENCES
-        REFERENCING REGR_AVGX REGR_AVGY REGR_COUNT REGR_INTERCEPT REGR_R2 REGR_SLOPE
-        REGR_SXX REGR_SXY REGR_SYY RELEASE RESULT RETURN RETURNS REVOKE RIGHT ROLLBACK
-        ROLLUP ROW ROWS ROW_NUMBER SAVEPOINT SCOPE SCROLL SEARCH SECOND SELECT SENSITIVE
-        SESSION_USER SET SIMILAR SMALLINT SOME SPECIFIC SPECIFICTYPE SQL SQLEXCEPTION
-        SQLSTATE SQLWARNING SQRT START STATIC STDDEV_POP STDDEV_SAMP SUBMULTISET
-        SUBSTRING SUM SYMMETRIC SYSTEM SYSTEM_USER TABLE TABLESAMPLE THEN TIME TIMESTAMP
-        TIMEZONE_HOUR TIMEZONE_MINUTE TO TRAILING TRANSLATE TRANSLATION TREAT TRIGGER
-        TRIM TRUE UESCAPE UNION UNIQUE UNKNOWN UNNEST UPDATE UPPER USER USING VALUE
-        VALUES VARCHAR VARIANCE VARYING VAR_POP VAR_SAMP WHEN WHENEVER WHERE
-        WIDTH_BUCKET WINDOW WITH WITHIN WITHOUT YEAR";
-
     #[test]
     fn full_sized_sql_token_set_matches_the_reference() {
-        let mut ts = TokenSet::new();
-        for word in SQL_KEYWORDS.split_whitespace() {
-            ts.keyword(word).unwrap();
-        }
-        let puncts = [
-            ("COMMA", ","),
-            ("LPAREN", "("),
-            ("RPAREN", ")"),
-            ("SEMI", ";"),
-            ("DOT", "."),
-            ("STAR", "*"),
-            ("PLUS", "+"),
-            ("MINUS", "-"),
-            ("SLASH", "/"),
-            ("EQ", "="),
-            ("NE", "<>"),
-            ("LT", "<"),
-            ("LE", "<="),
-            ("GT", ">"),
-            ("GE", ">="),
-            ("CONCAT", "||"),
-            ("COLON", ":"),
-            ("QMARK", "?"),
-        ];
-        for (name, literal) in puncts {
-            ts.punct(name, literal).unwrap();
-        }
-        // The pattern and skip rules of `sql-features/src/tokens.rs` and
-        // the root SQL feature's comment rules.
-        ts.pattern("IDENT", "[A-Za-z_][A-Za-z0-9_]*").unwrap();
-        ts.pattern("NUMBER", "[0-9]+(\\.[0-9]+)?([eE][+\\-]?[0-9]+)?")
-            .unwrap();
-        ts.pattern("STRING", "'([^']|'')*'").unwrap();
-        ts.skip("WS", "[ \\t\\r\\n]+").unwrap();
-        ts.skip("LINE_COMMENT", "--[^\\n]*").unwrap();
-        ts.skip("BLOCK_COMMENT", "\\/\\*([^*]|\\*+[^*\\/])*\\*+\\/")
-            .unwrap();
+        let ts = crate::testdata::sql_token_set();
         assert!(ts.len() > 300, "{} rules", ts.len());
         check_token_set(&ts).unwrap();
     }

@@ -43,6 +43,8 @@ pub mod minimize;
 pub mod nfa;
 pub mod regex;
 pub mod scanner;
+#[cfg(test)]
+mod testdata;
 pub mod tokenset;
 pub mod vector;
 

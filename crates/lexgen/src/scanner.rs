@@ -137,7 +137,7 @@ impl Scanner {
     }
 
     /// Number of byte equivalence classes in the compiled dispatch tables
-    /// (size metric for Experiment B6 / bench schema v3).
+    /// (size metric for Experiment B6 and `sqlweave dialects`).
     pub fn byte_classes(&self) -> usize {
         self.compiled.byte_classes()
     }

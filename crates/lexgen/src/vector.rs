@@ -269,11 +269,18 @@ impl RunSet {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Bytes [`skip_run`] consumed on this thread, in test builds only: the
+    /// exact work count the scanner gate pins (no other build has it).
+    static RUN_SKIP_BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Length of the member-run at `bytes[start..]`, measured with the chunked
 /// classifier selected by `level`.
 #[inline]
 pub(crate) fn skip_run(bytes: &[u8], start: usize, m: &RunMask, level: SimdLevel) -> usize {
-    match level {
+    let n = match level {
         #[cfg(all(target_arch = "x86_64", not(feature = "no-simd")))]
         // SAFETY: `Ssse3` is only ever selected by `SimdLevel::detect` (or
         // accepted by `Scanner::scan_with_simd`) after runtime detection.
@@ -281,7 +288,10 @@ pub(crate) fn skip_run(bytes: &[u8], start: usize, m: &RunMask, level: SimdLevel
         #[cfg(all(target_arch = "aarch64", not(feature = "no-simd")))]
         SimdLevel::Neon => skip_neon(bytes, start, m),
         _ => skip_swar(bytes, start, m),
-    }
+    };
+    #[cfg(test)]
+    RUN_SKIP_BYTES.with(|c| c.set(c.get() + n));
+    n
 }
 
 /// Portable chunked skipper: load 8 bytes, fold the eight membership
@@ -1161,6 +1171,45 @@ mod tests {
         let mut input = vec![b'k'; 37];
         input.push(0xE2);
         assert_eq!(skip_run(&input, 0, &m, level), 37);
+    }
+
+    /// Bytes the run skips consume while `scan` runs on this thread.
+    fn run_skip_bytes(scan: impl FnOnce()) -> usize {
+        RUN_SKIP_BYTES.with(|c| c.set(0));
+        scan();
+        RUN_SKIP_BYTES.with(std::cell::Cell::get)
+    }
+
+    /// The scanner gate, in exact counts instead of MiB/s: a full-sized SQL
+    /// token set keeps its keyword hash, the hot path leaves most bytes to
+    /// the chunked run skips at every SIMD level, and an SSSE3 host uses
+    /// the SSSE3 classifier. A scanner that silently falls back to the
+    /// per-byte walk or to run-only tables fails here on any host.
+    #[test]
+    fn run_skips_consume_most_of_a_sql_script() {
+        let scanner = crate::testdata::sql_token_set().build().unwrap();
+        assert_eq!(scanner.vector_strategy(), "keyword-hash");
+        #[cfg(all(target_arch = "x86_64", not(feature = "no-simd")))]
+        if std::arch::is_x86_feature_detected!("ssse3") {
+            assert_eq!(scanner.simd_level(), SimdLevel::Ssse3);
+        }
+        let script = crate::testdata::sql_script(256 * 1024);
+        let mut toks = Vec::new();
+        let skipped = run_skip_bytes(|| scanner.scan_into(&script, &mut toks).unwrap());
+        // 190,281 of 262,256 bytes (72.6 %) when this was written.
+        assert!(
+            skipped * 100 >= script.len() * 72,
+            "run skips consumed {skipped} of {} bytes",
+            script.len()
+        );
+        for level in [SimdLevel::Swar, SimdLevel::Ssse3, SimdLevel::Neon] {
+            if level.available() {
+                let at_level = run_skip_bytes(|| {
+                    scanner.scan_with_simd(level, &script).unwrap().unwrap();
+                });
+                assert_eq!(at_level, skipped, "{level:?}");
+            }
+        }
     }
 
     #[test]

@@ -120,8 +120,8 @@ pub struct ParserStats {
 }
 
 /// Dynamic counters accumulated by the backtracking engine across one
-/// session's parses (Experiment B5: backtrack rate with and without the
-/// compiled LL(k) dispatch tables).
+/// session's parses (backtracks, dispatch-table hits, memo hits;
+/// Experiment B5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCounters {
     /// Dispatch-table consultations that selected an alternative directly.
@@ -284,7 +284,6 @@ pub struct Parser {
     pub(crate) fprods: Vec<FProd>,
     pub(crate) fstart: u32,
     decisions: Vec<RtDecision>,
-    lookahead_k: u8,
     /// Statement-level synchronization tokens for panic-mode recovery
     /// (derived from FOLLOW of the start skeleton; EOF is implicit).
     sync_bits: TokBits,
@@ -399,7 +398,6 @@ impl Parser {
             fprods,
             fstart,
             decisions,
-            lookahead_k: K_MAX as u8,
             sync_bits,
             cfollow,
             ffollow,
@@ -433,20 +431,6 @@ impl Parser {
         self.mode
     }
 
-    /// Limit runtime lookahead dispatch to decisions resolved at `k` or
-    /// fewer tokens (builder style). Dispatch tables are always compiled
-    /// at build time for k ≤ 3; this only gates which are consulted, so
-    /// `k < 2` disables dispatch entirely (pure seed backtracking).
-    pub fn with_lookahead_k(mut self, k: usize) -> Parser {
-        self.lookahead_k = k.min(K_MAX) as u8;
-        self
-    }
-
-    /// The runtime lookahead dispatch limit (see [`Parser::with_lookahead_k`]).
-    pub fn lookahead_k(&self) -> usize {
-        self.lookahead_k as usize
-    }
-
     /// Number of LL(1) conflicts the static lookahead analysis resolved
     /// into compiled dispatch tables.
     pub fn decision_tables(&self) -> usize {
@@ -455,7 +439,7 @@ impl Parser {
 
     /// `true` when the backtracking engine will consult dispatch tables.
     pub(crate) fn tables_active(&self) -> bool {
-        self.lookahead_k >= 2 && !self.decisions.is_empty()
+        !self.decisions.is_empty()
     }
 
     /// The (EBNF) grammar this parser accepts.
@@ -672,9 +656,6 @@ impl Parser {
         // one indirection from every conflicted-decision consult.
         debug_assert!((di as usize) < self.decisions.len());
         let d = unsafe { self.decisions.get_unchecked(di as usize) };
-        if d.k > self.lookahead_k {
-            return None;
-        }
         match ctx.kind_ids.get(pos) {
             Some(&k0) if d.conflict_first.contains(k0) => {}
             None if d.conflict_eof => {}
@@ -1598,19 +1579,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_limit_disables_dispatch() {
-        let g = parse_grammar("grammar g; a : X Y #xy | X Z #xz ;").unwrap();
-        let t = parse_tokens("tokens t; X = kw; Y = kw; Z = kw; WS = skip / +/;").unwrap();
-        let p = Parser::new(g, &t).unwrap().with_lookahead_k(1);
-        assert_eq!(p.lookahead_k(), 1);
-        let mut s = p.session();
-        assert_eq!(s.parse_tree("X Z").unwrap().to_cst().label(), Some("xz"));
-        let stats = s.stats();
-        assert_eq!(stats.decision_table_hits, 0, "stats: {stats:?}");
-        assert!(stats.backtracks >= 1, "stats: {stats:?}");
-    }
-
-    #[test]
     fn dispatch_skips_doomed_star_probe() {
         // `stmt (SEMI stmt)* SEMI?` — at the trailing SEMI the star's
         // continue-probe is doomed; the k=2 table proves the exit arm.
@@ -1626,18 +1594,6 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.backtracks, 0, "stats: {stats:?}");
         assert!(stats.decision_table_hits >= 1, "stats: {stats:?}");
-        // Seed behavior without tables: the same input costs a backtrack.
-        let p1 = {
-            let g = parse_grammar(
-                "grammar g; start script; script : stmt (SEMI stmt)* SEMI? ; stmt : A ;",
-            )
-            .unwrap();
-            let t = parse_tokens("tokens t; A = kw; SEMI = \";\"; WS = skip / +/;").unwrap();
-            Parser::new(g, &t).unwrap().with_lookahead_k(1)
-        };
-        let mut s1 = p1.session();
-        assert!(s1.parse_tree("A ; A ;").is_ok());
-        assert!(s1.stats().backtracks >= 1, "stats: {:?}", s1.stats());
     }
 
     #[test]

@@ -152,6 +152,45 @@ fn single_token_edit_reparses_locally() {
     let st = s.edit_stats();
     assert!(!st.full_reparse, "{st:?}");
     assert!(st.reparsed_tokens < total / 3, "window too large: {st:?} of {total}");
+
+    // The keystroke work gate: 32 single-character identifier edits on a
+    // 256 KiB generated script (36,100 tokens). The counts are exact on
+    // every host. Each bound is at most 25 % above the count measured when
+    // it was set (at most 1 relexed token, resync within 49 bytes, reparse
+    // window median/max 28/70 tokens on backtracking and 31/101 on
+    // ll1_table), so a repair that widens toward whole-document work fails.
+    let script = corpus::generate_script(d, 0xED17, 256 * 1024);
+    let bounds = [
+        (EngineMode::Backtracking, 35, 87),
+        (EngineMode::Ll1Table, 38, 126),
+    ];
+    for (mode, median_bound, max_bound) in bounds {
+        let mut s = parser(d, mode).session();
+        s.open_document(&script);
+        let mut rng = XorShift(0x1c00_0000_0000_0001 ^ script.len() as u64);
+        let mut windows = Vec::new();
+        for edit in 0..32 {
+            let bytes = s.document().as_bytes();
+            let pos = (0..10_000)
+                .map(|_| rng.below(bytes.len()))
+                .find(|&q| bytes[q].is_ascii_lowercase())
+                .expect("generated script contains identifier characters");
+            let rep = if bytes[pos] == b'x' { "y" } else { "x" };
+            let st = s.apply_edit(pos..pos + 1, rep).stats;
+            let ctx = format!("{mode:?} edit {edit} at {pos}: {st:?}");
+            assert!(!st.full_reparse, "{ctx}");
+            assert!(st.relexed_tokens <= 1, "{ctx}");
+            assert!(st.resync_bytes <= 61, "{ctx}");
+            assert!(st.reparsed_tokens <= max_bound, "{ctx}");
+            windows.push(st.reparsed_tokens);
+        }
+        windows.sort_unstable();
+        let median = windows[windows.len() / 2];
+        assert!(
+            median <= median_bound,
+            "{mode:?} reparse windows: {windows:?}"
+        );
+    }
 }
 
 /// Boundary edits: empty documents, edits at byte 0 and at `len`,
