@@ -21,7 +21,7 @@ use crate::engine::{
 };
 use crate::errors::ParseError;
 use crate::events::{split_elements, ElemKind, Event, TopElem, ERROR_NODE};
-use crate::tree::{SyntaxTree, TreeBuffers};
+use crate::tree::{Arena, SyntaxTree, TreeBuilder};
 use sqlweave_lexgen::{LexError, LineIndex, Token, TokenSource};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -40,7 +40,9 @@ pub struct ParseSession<'p> {
     memo: FailureMemo,
     notes: Notes,
     counters: RunCounters,
-    tree: TreeBuffers,
+    /// Arena of the last standalone `parse_tree` / `parse_resilient` tree.
+    tree: Arena,
+    builder: TreeBuilder,
     /// Incrementally maintained document, when one is open
     /// ([`ParseSession::open_document`] / [`ParseSession::apply_edit`]).
     inc: Option<Box<IncDoc>>,
@@ -66,18 +68,16 @@ pub struct EditStats {
 }
 
 /// One top-level element of the maintained document — a parsed statement
-/// subtree, a recovery error node, or a bare separator token — stored as
-/// its own event slice with *chunk-relative* token indices plus a span
-/// base offset. Chunk-relative indices make the event suffix of an edit
-/// free to keep (no per-event token-index rebase); the base offset turns
-/// the O(total tokens) suffix span shift of an edit into an O(#chunks)
-/// base update. Absolute spans are only folded in when the tree is
-/// materialized.
+/// subtree, a recovery error node, or a bare separator token. Its subtree
+/// lives in its own [`Arena`] (`IncDoc::arenas`, same index) with
+/// chunk-local node ids and *chunk-relative* token indices, built once when
+/// the chunk is created, so an edit keeps every chunk outside its reparse
+/// window as it is (no per-node token-index rebase) and a tree read builds
+/// nothing. The span base offset turns the O(total tokens) suffix span
+/// shift of an edit into an O(#chunks) base update; absolute spans are
+/// only folded in when the tree is read.
 struct Chunk {
     kind: ElemKind,
-    /// Events of this element. `Event::Token` indices are chunk-relative:
-    /// absolute index = relative + the chunk's first token index.
-    events: Vec<Event>,
     /// Number of tokens this chunk covers.
     n_toks: usize,
     /// Span rebase: a covered token's true span = the span stored in the
@@ -89,8 +89,8 @@ struct Chunk {
 /// every derived artifact [`ParseSession::apply_edit`] repairs in place
 /// instead of recomputing — line index, token stream, lexical diagnostics
 /// (with the probe frontier of each failed munch, needed to place future
-/// relex restarts), syntax diagnostics, and the per-statement event
-/// chunks of the whole document.
+/// relex restarts), syntax diagnostics, and the per-statement chunks of
+/// the whole document with their tree arenas.
 struct IncDoc {
     /// Document text, spliced in place by each edit (the relex never
     /// needs pre-edit bytes, only pre-edit token positions).
@@ -121,6 +121,10 @@ struct IncDoc {
     /// The document's top-level elements in order, partitioning the token
     /// stream.
     chunks: Vec<Chunk>,
+    /// The tree arena of each chunk (same length as `chunks`): the
+    /// document tree is its root wrapper over these, so an edit rebuilds
+    /// only the arenas of the chunks it reparses.
+    arenas: Vec<Arena>,
     /// First absolute token index of each chunk (prefix sums of `n_toks`;
     /// same length as `chunks`, first entry 0). Repaired in place by each
     /// chunk splice; rebuilt from scratch only on a full reparse.
@@ -131,13 +135,6 @@ struct IncDoc {
     n_empty_chunks: usize,
     /// Root wrapper (`prod`, `alt`) the chunks assemble under.
     root: (u32, u32),
-    /// The session's tree arena currently holds this document's
-    /// materialized tree (node/element indices match the chunk events).
-    /// Invalidated by any reparse and by standalone `parse_tree` /
-    /// `parse_resilient` calls, which share the arena.
-    tree_valid: bool,
-    /// Root node id of the cached materialized tree (when `tree_valid`).
-    tree_root: u32,
     last_edit: EditStats,
 }
 
@@ -153,11 +150,10 @@ impl IncDoc {
             tok_probes: Vec::new(),
             syn: Arc::new(Vec::new()),
             chunks: Vec::new(),
+            arenas: Vec::new(),
             chunk_tok_lo: Vec::new(),
             n_empty_chunks: 0,
             root: (ERROR_NODE, 0),
-            tree_valid: false,
-            tree_root: 0,
             last_edit: EditStats {
                 relexed_tokens: 0,
                 reparsed_tokens: 0,
@@ -208,18 +204,19 @@ impl TokenSource for ChunkedTokens<'_> {
     }
 }
 
-/// Extract one [`TopElem`] of a drive's output stream into an owned
-/// [`Chunk`]: events copied with token indices rebased from absolute to
-/// chunk-relative, span base 0 (a fresh drive's spans are absolute).
-fn chunk_of_elem(revents: &[Event], e: &TopElem) -> Chunk {
-    let events = revents[e.ev_lo..e.ev_hi]
-        .iter()
-        .map(|ev| match *ev {
-            Event::Token { index } => Event::Token { index: index - e.tok_lo as u32 },
-            other => other,
-        })
-        .collect();
-    Chunk { kind: e.kind, events, n_toks: e.tok_hi - e.tok_lo, base: 0 }
+/// Turn one [`TopElem`] of a drive's output stream into a [`Chunk`] and
+/// its arena: token indices rebased from absolute to chunk-relative, span
+/// base 0 (a fresh drive's spans are absolute).
+fn chunk_of_elem(b: &mut TreeBuilder, revents: &[Event], e: &TopElem) -> (Chunk, Arena) {
+    let arena = Arena::from_events(b, &revents[e.ev_lo..e.ev_hi], e.tok_lo as u32);
+    (
+        Chunk {
+            kind: e.kind,
+            n_toks: e.tok_hi - e.tok_lo,
+            base: 0,
+        },
+        arena,
+    )
 }
 
 /// Materialize absolute new-text spans for the window tokens `from..to`
@@ -322,21 +319,22 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-/// Deferred tree materialization handle of an [`EditOutcome`]: holds the
-/// session borrow and only builds the document tree when
-/// [`LazyTree::get`] is called. Dropping it without calling `get` keeps
-/// the edit O(damage window + #chunks) — the sub-millisecond keystroke
-/// path.
+/// Deferred tree handle of an [`EditOutcome`]: holds the session borrow
+/// and only assembles the document tree when [`LazyTree::get`] is called.
+/// Dropping it without calling `get` keeps the edit O(damage window +
+/// #chunks) — the sub-millisecond keystroke path.
 pub struct LazyTree<'s, 'p> {
     session: &'s mut ParseSession<'p>,
 }
 
 impl LazyTree<'_, '_> {
-    /// Materialize (or fetch the cached) document tree. The first call
-    /// after an edit is O(document): chunk span bases are folded into
-    /// absolute token spans and the node arena is rebuilt from the
-    /// chunked event streams. Calls without an intervening edit reuse the
-    /// cached arena.
+    /// The document tree. A read builds no nodes: each statement's arena
+    /// was built when the statement was last parsed (by `open_document`,
+    /// or by the edit whose reparse window covered it), and the tree is a
+    /// root wrapper over those arenas. The first call after an edit folds
+    /// the pending chunk span bases into absolute token spans, which costs
+    /// one pass over the tokens after the edit; calls without an
+    /// intervening edit fold nothing.
     pub fn get(&mut self) -> SyntaxTree<'_> {
         self.session.materialize_document()
     }
@@ -344,7 +342,7 @@ impl LazyTree<'_, '_> {
 
 /// What [`ParseSession::apply_edit`] and [`ParseSession::open_document`]
 /// return: diagnostics and edit statistics immediately, with the tree
-/// behind a lazy handle that materializes on first access. Callers that
+/// behind a lazy handle that assembles it on first access. Callers that
 /// only surface diagnostics per keystroke never pay for tree
 /// construction.
 pub struct EditOutcome<'s, 'p> {
@@ -568,7 +566,8 @@ pub(crate) struct SessionBuffers {
     memo: FailureMemo,
     notes: Notes,
     counters: RunCounters,
-    tree: TreeBuffers,
+    tree: Arena,
+    builder: TreeBuilder,
 }
 
 impl<'p> ParseSession<'p> {
@@ -583,7 +582,8 @@ impl<'p> ParseSession<'p> {
             memo: FailureMemo::default(),
             notes: Notes::new(parser.n_tokens),
             counters: RunCounters::default(),
-            tree: TreeBuffers::default(),
+            tree: Arena::default(),
+            builder: TreeBuilder::default(),
             inc: None,
         }
     }
@@ -600,6 +600,7 @@ impl<'p> ParseSession<'p> {
             notes: b.notes,
             counters: b.counters,
             tree: b.tree,
+            builder: b.builder,
             inc: None,
         }
     }
@@ -615,6 +616,7 @@ impl<'p> ParseSession<'p> {
             notes: self.notes,
             counters: self.counters,
             tree: self.tree,
+            builder: self.builder,
         }
     }
 
@@ -653,11 +655,6 @@ impl<'p> ParseSession<'p> {
     /// convert with [`SyntaxTree::to_cst`] to keep a tree).
     pub fn parse_tree<'s>(&'s mut self, input: &'s str) -> Result<SyntaxTree<'s>, ParseError> {
         let parser = self.parser;
-        if let Some(doc) = self.inc.as_deref_mut() {
-            // The tree arena is shared; a standalone parse clobbers any
-            // cached document materialization.
-            doc.tree_valid = false;
-        }
         self.toks.clear();
         self.kind_ids.clear();
         parser
@@ -668,16 +665,21 @@ impl<'p> ParseSession<'p> {
         let n = self.toks.len();
         match self.run_strict(0, n) {
             Ok(next) if next == n => {
-                let root = self.tree.build(&self.events);
-                Ok(SyntaxTree {
+                // The start production's expansion is the root; the rest
+                // is the tree's one chunk.
+                let (root, inner) = match &self.events[..] {
+                    [Event::Open { prod, alt }, inner @ .., Event::Close] => ((*prod, *alt), inner),
+                    _ => unreachable!("a successful parse opens and closes a root"),
+                };
+                self.tree.build(&mut self.builder, inner, 0);
+                Ok(SyntaxTree::new(
                     parser,
-                    mode: parser.mode(),
                     input,
-                    toks: &self.toks,
-                    nodes: &self.tree.nodes,
-                    elems: &self.tree.elems,
+                    &self.toks,
                     root,
-                })
+                    std::slice::from_ref(&self.tree),
+                    &[0],
+                ))
             }
             Ok(next) => {
                 self.notes.note_eof(next);
@@ -913,12 +915,6 @@ impl<'p> ParseSession<'p> {
     /// 2·tokens + 4) guarantees termination on any input.
     pub fn parse_resilient<'s>(&'s mut self, input: &'s str) -> ParseOutcome<'s> {
         let parser = self.parser;
-        let mode = parser.mode();
-        if let Some(doc) = self.inc.as_deref_mut() {
-            // The tree arena is shared; a standalone parse clobbers any
-            // cached document materialization.
-            doc.tree_valid = false;
-        }
         self.toks.clear();
         self.kind_ids.clear();
         self.revents.clear();
@@ -935,26 +931,21 @@ impl<'p> ParseSession<'p> {
         let drive = self.drive_resilient(input, &index, 0, n, n, &mut errors);
         debug_assert!(!drive.needs_widening, "a full-document drive never widens");
 
-        // Final assembly: wrap the accumulated children in a single root —
-        // the first successfully spliced chunk's production, or an `error`
-        // root when nothing ever parsed.
-        let (rp, ra) = drive.root.unwrap_or((ERROR_NODE, 0));
-        self.events.clear();
-        self.events.push(Event::Open { prod: rp, alt: ra });
-        self.events.extend_from_slice(&self.revents);
-        self.events.push(Event::Close);
+        // Final assembly: the accumulated children are the tree's one
+        // chunk, under a single root — the first successfully spliced
+        // chunk's production, or an `error` root when nothing ever parsed.
+        let root = drive.root.unwrap_or((ERROR_NODE, 0));
         errors.sort_by_key(|e| e.at);
-        let tree_root = self.tree.build(&self.events);
+        self.tree.build(&mut self.builder, &self.revents, 0);
         ParseOutcome {
-            tree: SyntaxTree {
+            tree: SyntaxTree::new(
                 parser,
-                mode,
                 input,
-                toks: &self.toks,
-                nodes: &self.tree.nodes,
-                elems: &self.tree.elems,
-                root: tree_root,
-            },
+                &self.toks,
+                root,
+                std::slice::from_ref(&self.tree),
+                &[0],
+            ),
             errors,
         }
     }
@@ -963,10 +954,11 @@ impl<'p> ParseSession<'p> {
 
     /// Open `text` as an incrementally maintained document: parse it
     /// resiliently, keep every derived artifact (tokens, line index,
-    /// diagnostics, event chunks), and return the outcome — diagnostics
-    /// eagerly, the tree behind a lazy handle. Subsequent
-    /// [`ParseSession::apply_edit`] calls repair those artifacts in place.
-    /// Reopening replaces the previous document (buffers are recycled).
+    /// diagnostics, statement chunks with their tree arenas), and return
+    /// the outcome — diagnostics eagerly, the tree behind a lazy handle.
+    /// Subsequent [`ParseSession::apply_edit`] calls repair those
+    /// artifacts in place. Reopening replaces the previous document
+    /// (buffers are recycled).
     pub fn open_document(&mut self, text: &str) -> EditOutcome<'_, 'p> {
         let mut doc = self.inc.take().unwrap_or_else(|| Box::new(IncDoc::empty()));
         doc.text.clear();
@@ -1048,9 +1040,9 @@ impl<'p> ParseSession<'p> {
     ///    clean statement of margin on each side, with adjacent error
     ///    nodes absorbed), only that window is re-driven through
     ///    panic-mode recovery, and the untouched prefix/suffix chunks are
-    ///    kept verbatim (chunk-relative events; suffix span bases shift by
-    ///    the byte delta) — widening and retrying if the drive proves the
-    ///    window too small;
+    ///    kept verbatim with their arenas (chunk-relative token indices;
+    ///    suffix span bases shift by the byte delta) — widening and
+    ///    retrying if the drive proves the window too small;
     /// 3. **diagnostic rebase** — diagnostics outside the window shift
     ///    position; only the window's are recomputed.
     ///
@@ -1058,8 +1050,8 @@ impl<'p> ParseSession<'p> {
     /// parser entirely and only rebase spans.
     ///
     /// The returned [`EditOutcome`] carries diagnostics and stats
-    /// eagerly; the tree is materialized only when
-    /// [`LazyTree::get`] is called.
+    /// eagerly; the tree is assembled only when [`LazyTree::get`] is
+    /// called.
     ///
     /// # Panics
     /// If no document is open, or `range` is out of bounds or not on
@@ -1127,25 +1119,31 @@ impl<'p> ParseSession<'p> {
         let drive = self.drive_resilient(&doc.text, &doc.lines, 0, n, n, syn);
         doc.root = drive.root.unwrap_or((ERROR_NODE, 0));
         doc.chunks.clear();
+        doc.arenas.clear();
         match split_elements(&self.revents, 0) {
             Some(elems) => {
-                doc.chunks.extend(elems.iter().map(|e| chunk_of_elem(&self.revents, e)));
+                for e in &elems {
+                    let (chunk, arena) = chunk_of_elem(&mut self.builder, &self.revents, e);
+                    doc.chunks.push(chunk);
+                    doc.arenas.push(arena);
+                }
             }
             None => {
                 // Unreachable for a drive's own output, but degrade to one
-                // opaque chunk instead of panicking: the tree builder and
-                // the next edit's window fallback both handle it.
+                // opaque chunk instead of panicking: its arena holds every
+                // top-level element, and the next edit's window fallback
+                // handles it.
                 doc.chunks.push(Chunk {
                     kind: ElemKind::Err,
-                    events: self.revents.clone(),
                     n_toks: n,
                     base: 0,
                 });
+                doc.arenas
+                    .push(Arena::from_events(&mut self.builder, &self.revents, 0));
             }
         }
         doc.rebuild_chunk_tok_lo();
         doc.n_empty_chunks = doc.chunks.iter().filter(|c| c.n_toks == 0).count();
-        doc.tree_valid = false;
         doc.last_edit = EditStats {
             relexed_tokens: n,
             reparsed_tokens: n,
@@ -1155,14 +1153,12 @@ impl<'p> ParseSession<'p> {
         };
     }
 
-    /// Materialize the maintained document: fold every chunk's span base
-    /// into absolute token spans, then build the tree arena from the
-    /// chunked event streams (cached until the next mutating call —
-    /// repeated reads between edits are free).
+    /// Read the maintained document's tree: fold every pending chunk span
+    /// base into absolute token spans, and return the root wrapper over
+    /// the chunk arenas, which every edit already keeps current.
     fn materialize_document(&mut self) -> SyntaxTree<'_> {
         let parser = self.parser;
-        let ParseSession { tree, inc, .. } = self;
-        let doc = inc.as_deref_mut().expect("no document open");
+        let doc = self.inc.as_deref_mut().expect("no document open");
         for (c, chunk) in doc.chunks.iter_mut().enumerate() {
             if chunk.base != 0 {
                 let lo = doc.chunk_tok_lo[c];
@@ -1173,29 +1169,18 @@ impl<'p> ParseSession<'p> {
                 chunk.base = 0;
             }
         }
-        if !doc.tree_valid {
-            doc.tree_root = tree.build_chunked(
-                doc.root,
-                doc.chunks
-                    .iter()
-                    .zip(&doc.chunk_tok_lo)
-                    .map(|(c, &lo)| (&c.events[..], lo as u32)),
-            );
-            doc.tree_valid = true;
-        }
-        SyntaxTree {
+        SyntaxTree::new(
             parser,
-            mode: parser.mode(),
-            input: &doc.text,
-            toks: &doc.toks,
-            nodes: &tree.nodes,
-            elems: &tree.elems,
-            root: doc.tree_root,
-        }
+            &doc.text,
+            &doc.toks,
+            doc.root,
+            &doc.arenas,
+            &doc.chunk_tok_lo,
+        )
     }
 
     /// The current document state as an eager [`ParseOutcome`] (tree
-    /// materialized immediately), or [`EditError::NoDocument`]. Handy for
+    /// assembled immediately), or [`EditError::NoDocument`]. Handy for
     /// oracles and tests that snapshot the document between edits.
     pub fn try_document_outcome(&mut self) -> Result<ParseOutcome<'_>, EditError> {
         let doc = self.inc.as_ref().ok_or(EditError::NoDocument)?;
@@ -1274,8 +1259,7 @@ impl<'p> ParseSession<'p> {
             // Token-preserving edit (whitespace / comment interior / a
             // lexical-error-only change): no token splice at all — shift
             // the boundary chunk's tail spans in place, rebase every later
-            // chunk by the byte delta, and keep the event streams (and any
-            // cached tree arena: node indices are untouched).
+            // chunk by the byte delta, and keep every chunk arena.
             splice_lex_diags(doc, &relex, delta);
             splice_tok_probes(doc, &relex, delta);
             if delta != 0 {
@@ -1416,15 +1400,17 @@ impl<'p> ParseSession<'p> {
             (ERROR_NODE, 0)
         };
 
-        // Chunk splice: prefix and suffix chunks survive verbatim (their
-        // events are chunk-relative), the suffix absorbs the byte delta
-        // into its span bases, and the window's drive output is split into
-        // fresh chunks.
+        // Chunk splice: prefix and suffix chunks and their arenas survive
+        // verbatim (token indices are chunk-relative), the suffix absorbs
+        // the byte delta into its span bases, and the window's drive
+        // output is split into fresh chunks with fresh arenas.
         let Some(new_elems) = split_elements(&self.revents, wlo) else {
             return self.edit_fallback(doc);
         };
-        let new_chunks: Vec<Chunk> =
-            new_elems.iter().map(|e| chunk_of_elem(&self.revents, e)).collect();
+        let (new_chunks, new_arenas): (Vec<Chunk>, Vec<Arena>) = new_elems
+            .iter()
+            .map(|e| chunk_of_elem(&mut self.builder, &self.revents, e))
+            .unzip();
         if delta != 0 {
             for chunk in &mut doc.chunks[e_hi..] {
                 chunk.base += delta;
@@ -1435,6 +1421,7 @@ impl<'p> ParseSession<'p> {
         doc.n_empty_chunks -=
             doc.chunks[e_lo..e_hi].iter().filter(|c| c.n_toks == 0).count();
         doc.chunks.splice(e_lo..e_hi, new_chunks);
+        doc.arenas.splice(e_lo..e_hi, new_arenas);
         // `chunk_tok_lo` is repaired in place instead of recomputed: the
         // window's entries are re-summed from its (unchanged) first token
         // index, and the suffix shifts by the token delta — O(window +
@@ -1469,7 +1456,6 @@ impl<'p> ParseSession<'p> {
             );
         }
         doc.root = root;
-        doc.tree_valid = false;
 
         // Diagnostic splice, the same three-way split in byte coordinates
         // but in place: prefix diagnostics are never touched, the window's
@@ -2136,8 +2122,8 @@ mod tests {
             let end = s.document().len();
             let o = s.apply_edit(end..end, "; SELECT");
             assert_eq!(o.errors.len(), 1);
-            // The next materialization still matches a full reparse, and
-            // a second read reuses the cached arena.
+            // The next read still matches a full reparse, and so does a
+            // second read with no edit between.
             assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} lazy catch-up"));
             assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} cached reread"));
             // Per-edit diagnostics equal the from-scratch diagnostics of
@@ -2167,12 +2153,97 @@ mod tests {
         let mut oracle = p.session();
         s.open_document("SELECT a FROM t; SELECT b FROM u");
         assert_incremental_identity(&mut s, &mut oracle, "before standalone parse");
-        // A standalone parse clobbers the shared tree arena; the document
-        // must rematerialize instead of serving the stale cache.
+        // A standalone parse builds into the session's own arena; the
+        // document's chunk arenas must come through untouched.
         let _ = s.parse_resilient("SELECT * FROM other");
         assert_incremental_identity(&mut s, &mut oracle, "after parse_resilient");
         let _ = s.parse_tree("SELECT c FROM w");
         assert_incremental_identity(&mut s, &mut oracle, "after parse_tree");
+    }
+
+    /// The read-locality gate: the document tree is a root wrapper over
+    /// per-statement arenas, so an edit builds the arenas of the chunks
+    /// its window reparsed and a read builds none at all.
+    #[test]
+    fn tree_reads_build_only_the_chunks_an_edit_reparsed() {
+        use crate::tree::nodes_built;
+        use std::collections::HashSet;
+        // Nodes of the document arenas built since `before` was taken (an
+        // arena's node buffer outlives moves, and a new one is allocated
+        // while every old one is still alive).
+        fn fresh_nodes(s: &ParseSession<'_>, before: &HashSet<usize>) -> usize {
+            let doc = s.inc.as_deref().expect("document open");
+            doc.arenas
+                .iter()
+                .filter(|a| !before.contains(&a.addr()))
+                .map(Arena::len)
+                .sum()
+        }
+        fn addrs(s: &ParseSession<'_>) -> HashSet<usize> {
+            s.inc
+                .as_deref()
+                .expect("document open")
+                .arenas
+                .iter()
+                .map(Arena::addr)
+                .collect()
+        }
+        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
+            let p = script_parser(mode);
+            let mut s = p.session();
+            let mut oracle = p.session();
+            let stmts: Vec<String> = (0..48).map(|i| format!("SELECT c{i} FROM t{i}")).collect();
+            s.open_document(&stmts.join("; "));
+            let doc_rules = s
+                .try_document_outcome()
+                .expect("document open")
+                .tree
+                .rule_count();
+
+            // a single-identifier edit, read twice
+            let before = addrs(&s);
+            let at = s.document().find("c20").expect("statement 20");
+            let n0 = nodes_built();
+            let (edit_and_read, reread) = {
+                let mut o = s.apply_edit(at..at + 3, "zz");
+                let _ = o.tree.get();
+                let n1 = nodes_built();
+                let _ = o.tree.get();
+                (n1 - n0, nodes_built() - n1)
+            };
+            let window = fresh_nodes(&s, &before);
+            assert!(
+                edit_and_read <= window,
+                "{mode:?}: built {edit_and_read}, window {window}"
+            );
+            assert!(
+                window > 0 && window * 8 < doc_rules,
+                "{mode:?}: window {window} of {doc_rules}"
+            );
+            assert_eq!(reread, 0, "{mode:?}: second read");
+
+            // a whitespace-only edit keeps every arena
+            let at = s.document().find("; SELECT c30").expect("statement 30") + 1;
+            let n0 = nodes_built();
+            let st = {
+                let mut o = s.apply_edit(at..at, "  ");
+                let _ = o.tree.get();
+                o.stats
+            };
+            assert_eq!(st.relexed_tokens, 0, "{mode:?}: {st:?}");
+            assert_eq!(
+                nodes_built() - n0,
+                0,
+                "{mode:?}: read after a whitespace edit"
+            );
+
+            // a standalone parse does not touch the document's arenas
+            let _ = s.parse_tree("SELECT a FROM t");
+            let n0 = nodes_built();
+            let _ = s.try_document_outcome().expect("document open");
+            assert_eq!(nodes_built() - n0, 0, "{mode:?}: read after parse_tree");
+            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} after reads"));
+        }
     }
 
     #[test]

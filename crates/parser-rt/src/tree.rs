@@ -1,11 +1,18 @@
 //! Materialized syntax trees over flat event streams.
 //!
-//! A [`SyntaxTree`] is the green-tree counterpart of [`CstNode`]: one
-//! contiguous node arena plus one contiguous child-element array, built in
-//! a single pass over the event buffer a parse produced. Nothing in the
-//! tree owns a string — production names and alternative labels are
-//! resolved on demand against the parser's compiled tables, and token text
-//! is a zero-copy span into the original input.
+//! A [`SyntaxTree`] is the green-tree counterpart of [`CstNode`]: a root
+//! expansion over a sequence of *chunks*, each a small node arena built in
+//! one pass over the events of the subtrees (and bare tokens) that sit
+//! directly under the root. Node ids are local to their chunk and token
+//! indices relative to the chunk's first token, so a chunk stays valid
+//! while the chunks around it are replaced or shifted. A tree from
+//! [`crate::session::ParseSession::parse_tree`] or
+//! [`crate::session::ParseSession::parse_resilient`] is the one-chunk
+//! case; a maintained document keeps one chunk per top-level statement
+//! and rebuilds only the chunks an edit reparses. Nothing in the tree
+//! owns a string — production names and alternative labels are resolved
+//! on demand against the parser's compiled tables, and token text is a
+//! zero-copy span into the original input.
 //!
 //! The tree borrows the [`crate::session::ParseSession`] buffers it was
 //! built into (and the input), so a steady-state session parses with no
@@ -29,118 +36,169 @@ pub(crate) struct NodeData {
     elems_end: u32,
 }
 
-/// One child of a node: either another node or a token, by arena index.
+/// One child of a node: another node of the same arena (by arena-local
+/// id) or a token (by index relative to the arena's first token).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Element {
     Node(u32),
     Token(u32),
 }
 
-/// Reusable tree-building buffers owned by a session.
+#[cfg(test)]
+thread_local! {
+    /// Arena nodes built on this thread, in test builds only: the exact
+    /// work count the document read-locality gate pins (no other build
+    /// has it).
+    static NODES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Arena nodes built on this thread so far (test builds only).
+#[cfg(test)]
+pub(crate) fn nodes_built() -> usize {
+    NODES_BUILT.with(|c| c.get())
+}
+
+/// The node arena of one chunk: the rule expansions of a run of balanced
+/// subtrees and bare tokens.
 #[derive(Default)]
-pub(crate) struct TreeBuffers {
-    pub(crate) nodes: Vec<NodeData>,
-    pub(crate) elems: Vec<Element>,
+pub(crate) struct Arena {
+    nodes: Vec<NodeData>,
+    /// Every node's child list, then (from `top` on) the chunk's own
+    /// top-level elements, which are children of the tree's root.
+    elems: Vec<Element>,
+    top: u32,
+}
+
+/// Scratch stacks for [`Arena::build`], reused across builds.
+#[derive(Default)]
+pub(crate) struct TreeBuilder {
     /// Children collected for the currently open expansions.
     pending: Vec<Element>,
     /// `(node id, pending mark)` per open expansion.
     open: Vec<(u32, usize)>,
 }
 
-impl TreeBuffers {
-    /// Build the arena from a well-formed event stream; returns the root
-    /// node id.
-    pub(crate) fn build(&mut self, events: &[Event]) -> u32 {
-        self.reset();
-        for ev in events {
-            match *ev {
-                Event::Open { prod, alt } => self.open_node(prod, alt),
-                Event::Token { index } => self.pending.push(Element::Token(index)),
-                Event::Close => self.close_node(),
-            }
-        }
-        self.take_root()
+impl Arena {
+    /// An arena built from `events` (see [`Arena::build`]), allocated at
+    /// its exact size.
+    pub(crate) fn from_events(b: &mut TreeBuilder, events: &[Event], tok_lo: u32) -> Arena {
+        let mut arena = Arena::default();
+        arena.build(b, events, tok_lo);
+        arena
     }
 
-    /// Build the arena directly from a *chunked* event representation: a
-    /// root wrapper around a sequence of per-chunk event slices whose
-    /// token indices are chunk-relative (absolute index = chunk-relative
-    /// plus the chunk's `tok_base`). Equivalent to flattening the chunks
-    /// into one root-wrapped stream and calling [`TreeBuffers::build`],
-    /// without materializing that stream — this is how a lazily
-    /// maintained document's tree is built on first access.
-    pub(crate) fn build_chunked<'c>(
-        &mut self,
-        root: (u32, u32),
-        chunks: impl Iterator<Item = (&'c [Event], u32)>,
-    ) -> u32 {
-        self.reset();
-        self.open_node(root.0, root.1);
-        for (events, tok_base) in chunks {
-            for ev in events {
-                match *ev {
-                    Event::Open { prod, alt } => self.open_node(prod, alt),
-                    Event::Token { index } => {
-                        self.pending.push(Element::Token(index + tok_base))
-                    }
-                    Event::Close => self.close_node(),
+    /// Rebuild this arena (capacity kept) from a sequence of balanced
+    /// subtrees and bare tokens whose token indices start at `tok_lo`.
+    pub(crate) fn build(&mut self, b: &mut TreeBuilder, events: &[Event], tok_lo: u32) {
+        let opens = events
+            .iter()
+            .filter(|e| matches!(e, Event::Open { .. }))
+            .count();
+        self.nodes.clear();
+        self.elems.clear();
+        self.nodes.reserve_exact(opens);
+        // every node but none of the `Close` events becomes one element
+        self.elems.reserve_exact(events.len() - opens);
+        b.pending.clear();
+        b.open.clear();
+        for ev in events {
+            match *ev {
+                Event::Open { prod, alt } => {
+                    let id = self.nodes.len() as u32;
+                    self.nodes.push(NodeData {
+                        prod,
+                        alt,
+                        elems_start: 0,
+                        elems_end: 0,
+                    });
+                    b.open.push((id, b.pending.len()));
+                }
+                Event::Token { index } => b.pending.push(Element::Token(index - tok_lo)),
+                Event::Close => {
+                    let (id, mark) = b.open.pop().expect("unbalanced Close event");
+                    let start = self.elems.len() as u32;
+                    self.elems.extend_from_slice(&b.pending[mark..]);
+                    let node = &mut self.nodes[id as usize];
+                    node.elems_start = start;
+                    node.elems_end = self.elems.len() as u32;
+                    b.pending.truncate(mark);
+                    b.pending.push(Element::Node(id));
                 }
             }
         }
-        self.close_node();
-        self.take_root()
+        assert!(b.open.is_empty(), "unclosed Open event");
+        self.top = self.elems.len() as u32;
+        self.elems.append(&mut b.pending);
+        #[cfg(test)]
+        NODES_BUILT.with(|c| c.set(c.get() + self.nodes.len()));
     }
 
-    fn reset(&mut self) {
-        self.nodes.clear();
-        self.elems.clear();
-        self.pending.clear();
-        self.open.clear();
+    /// Rule expansions in this arena.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
     }
 
-    fn open_node(&mut self, prod: u32, alt: u32) {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(NodeData { prod, alt, elems_start: 0, elems_end: 0 });
-        self.open.push((id, self.pending.len()));
+    fn children(&self, id: u32) -> &[Element] {
+        let node = &self.nodes[id as usize];
+        &self.elems[node.elems_start as usize..node.elems_end as usize]
     }
 
-    fn close_node(&mut self) {
-        let (id, mark) = self.open.pop().expect("unbalanced Close event");
-        let start = self.elems.len() as u32;
-        self.elems.extend_from_slice(&self.pending[mark..]);
-        let node = &mut self.nodes[id as usize];
-        node.elems_start = start;
-        node.elems_end = self.elems.len() as u32;
-        self.pending.truncate(mark);
-        self.pending.push(Element::Node(id));
+    fn top(&self) -> &[Element] {
+        &self.elems[self.top as usize..]
     }
 
-    fn take_root(&mut self) -> u32 {
-        debug_assert!(self.open.is_empty(), "unclosed Open event");
-        debug_assert_eq!(self.pending.len(), 1, "event stream must have one root");
-        match self.pending[0] {
-            Element::Node(id) => id,
-            Element::Token(_) => unreachable!("root of a parse is a rule expansion"),
-        }
+    /// Address of the node buffer, which identifies a non-empty arena
+    /// across moves (test builds only).
+    #[cfg(test)]
+    pub(crate) fn addr(&self) -> usize {
+        self.nodes.as_ptr() as usize
     }
 }
 
-/// A materialized parse: node arena + token stream + input, with names
-/// resolved against the parser that produced it.
+/// A materialized parse: a root expansion over chunk arenas, the token
+/// stream and the input, with names resolved against the parser that
+/// produced it.
 pub struct SyntaxTree<'a> {
-    pub(crate) parser: &'a Parser,
-    pub(crate) mode: EngineMode,
-    pub(crate) input: &'a str,
-    pub(crate) toks: &'a [Token],
-    pub(crate) nodes: &'a [NodeData],
-    pub(crate) elems: &'a [Element],
-    pub(crate) root: u32,
+    parser: &'a Parser,
+    mode: EngineMode,
+    input: &'a str,
+    toks: &'a [Token],
+    /// `(prod, alt)` of the root, whose children are the chunks' top-level
+    /// elements in order.
+    root: (u32, u32),
+    chunks: &'a [Arena],
+    /// First absolute token index of each chunk.
+    tok_lo: &'a [usize],
 }
 
 impl<'a> SyntaxTree<'a> {
+    pub(crate) fn new(
+        parser: &'a Parser,
+        input: &'a str,
+        toks: &'a [Token],
+        root: (u32, u32),
+        chunks: &'a [Arena],
+        tok_lo: &'a [usize],
+    ) -> SyntaxTree<'a> {
+        debug_assert_eq!(chunks.len(), tok_lo.len());
+        SyntaxTree {
+            parser,
+            mode: parser.mode(),
+            input,
+            toks,
+            root,
+            chunks,
+            tok_lo,
+        }
+    }
+
     /// The root node (start production of the grammar).
     pub fn root(&self) -> SyntaxNode<'a, '_> {
-        SyntaxNode { tree: self, id: self.root }
+        SyntaxNode {
+            tree: self,
+            chunk: ROOT,
+            id: 0,
+        }
     }
 
     /// The original input text.
@@ -156,79 +214,54 @@ impl<'a> SyntaxTree<'a> {
     /// Total nodes in the seed counting convention: rule expansions plus
     /// token leaves (matches [`CstNode::node_count`]).
     pub fn node_count(&self) -> usize {
-        self.nodes.len() + self.toks.len()
+        self.rule_count() + self.toks.len()
     }
 
     /// Rule expansions only.
     pub fn rule_count(&self) -> usize {
-        self.nodes.len()
+        1 + self.chunks.iter().map(Arena::len).sum::<usize>()
     }
 
     /// Convert to the seed owning CST representation. This is the only
     /// tree operation that allocates per node; it exists so downstream
     /// consumers (lowering, golden tests, printing) keep working unchanged.
     pub fn to_cst(&self) -> CstNode {
-        self.node_to_cst(self.root)
-    }
-
-    fn node_to_cst(&self, id: u32) -> CstNode {
-        let node = &self.nodes[id as usize];
-        let children = self.elems[node.elems_start as usize..node.elems_end as usize]
-            .iter()
-            .map(|e| match *e {
-                Element::Node(n) => self.node_to_cst(n),
-                Element::Token(t) => {
-                    let tok = &self.toks[t as usize];
-                    CstNode::Token {
-                        kind: self.parser.scanner().name(tok.kind).to_string(),
-                        text: tok.text(self.input).to_string(),
-                        start: tok.start,
-                        end: tok.end,
-                    }
-                }
-            })
-            .collect();
-        CstNode::Rule {
-            name: self.parser.prod_name(self.mode, node.prod).to_string(),
-            label: self
-                .parser
-                .alt_label(self.mode, node.prod, node.alt)
-                .map(str::to_string),
-            children,
-        }
+        self.root().to_cst()
     }
 
     /// Render the same indented tree as [`CstNode::pretty`], without
     /// materializing a CST.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.pretty_node(&mut out, self.root, 0);
+        self.root().pretty(&mut out, 0);
         out
     }
 
-    fn pretty_node(&self, out: &mut String, id: u32, depth: usize) {
-        use std::fmt::Write as _;
-        let indent = "  ".repeat(depth);
-        let node = &self.nodes[id as usize];
-        let name = self.parser.prod_name(self.mode, node.prod);
-        let _ = match self.parser.alt_label(self.mode, node.prod, node.alt) {
-            Some(l) => writeln!(out, "{indent}{name} #{l}"),
-            None => writeln!(out, "{indent}{name}"),
-        };
-        for e in &self.elems[node.elems_start as usize..node.elems_end as usize] {
-            match *e {
-                Element::Node(n) => self.pretty_node(out, n, depth + 1),
-                Element::Token(t) => {
-                    let tok = &self.toks[t as usize];
-                    let kind = self.parser.scanner().name(tok.kind);
-                    let text = tok.text(self.input);
-                    let _ = writeln!(out, "{}{kind} {text:?}", "  ".repeat(depth + 1));
-                }
-            }
+    /// The cursor for element `e` of chunk `chunk`.
+    fn element<'t>(&'t self, chunk: usize, e: Element) -> SyntaxElement<'a, 't> {
+        match e {
+            Element::Node(id) => SyntaxElement::Node(SyntaxNode {
+                tree: self,
+                chunk: chunk as u32,
+                id,
+            }),
+            Element::Token(t) => SyntaxElement::Token(SyntaxToken {
+                tree: self,
+                index: self.tok_lo[chunk] as u32 + t,
+            }),
         }
     }
 }
 
+/// Chunk of the root cursor, which lives in no arena.
+const ROOT: u32 = u32::MAX;
+
+#[cfg(test)]
+thread_local! {
+    /// Nodes [`SyntaxNode::span`] entered on this thread, in test builds
+    /// only (the linear-span test pins it).
+    static SPAN_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 /// Handle to a string in a [`TokenInterner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
@@ -328,10 +361,11 @@ impl<'a> SyntaxTree<'a> {
     }
 }
 
+
 impl fmt::Debug for SyntaxTree<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SyntaxTree")
-            .field("rules", &self.nodes.len())
+            .field("rules", &self.rule_count())
             .field("tokens", &self.toks.len())
             .finish_non_exhaustive()
     }
@@ -341,6 +375,9 @@ impl fmt::Debug for SyntaxTree<'_> {
 #[derive(Clone, Copy)]
 pub struct SyntaxNode<'a, 't> {
     tree: &'t SyntaxTree<'a>,
+    /// The chunk whose arena holds the node, or [`ROOT`].
+    chunk: u32,
+    /// Arena-local node id.
     id: u32,
 }
 
@@ -348,6 +385,7 @@ pub struct SyntaxNode<'a, 't> {
 #[derive(Clone, Copy)]
 pub struct SyntaxToken<'a, 't> {
     tree: &'t SyntaxTree<'a>,
+    /// Absolute index into the tree's token stream.
     index: u32,
 }
 
@@ -387,29 +425,52 @@ impl<'a, 't> SyntaxElement<'a, 't> {
 }
 
 impl<'a, 't> SyntaxNode<'a, 't> {
+    /// `(prod, alt)` of this expansion.
+    fn prod_alt(&self) -> (u32, u32) {
+        if self.chunk == ROOT {
+            return self.tree.root;
+        }
+        let node = &self.tree.chunks[self.chunk as usize].nodes[self.id as usize];
+        (node.prod, node.alt)
+    }
+
     /// Production name.
     pub fn name(&self) -> &'a str {
-        let node = &self.tree.nodes[self.id as usize];
-        self.tree.parser.prod_name(self.tree.mode, node.prod)
+        self.tree
+            .parser
+            .prod_name(self.tree.mode, self.prod_alt().0)
     }
 
     /// Label of the alternative that matched, if any.
     pub fn label(&self) -> Option<&'a str> {
-        let node = &self.tree.nodes[self.id as usize];
-        self.tree.parser.alt_label(self.tree.mode, node.prod, node.alt)
+        let (prod, alt) = self.prod_alt();
+        self.tree.parser.alt_label(self.tree.mode, prod, alt)
     }
 
     /// Child elements in input order.
-    pub fn children(&self) -> impl Iterator<Item = SyntaxElement<'a, 't>> + '_ {
-        let node = &self.tree.nodes[self.id as usize];
-        self.tree.elems[node.elems_start as usize..node.elems_end as usize]
-            .iter()
-            .map(|e| match *e {
-                Element::Node(n) => SyntaxElement::Node(SyntaxNode { tree: self.tree, id: n }),
-                Element::Token(t) => {
-                    SyntaxElement::Token(SyntaxToken { tree: self.tree, index: t })
-                }
-            })
+    pub fn children(&self) -> impl DoubleEndedIterator<Item = SyntaxElement<'a, 't>> + 't {
+        let tree = self.tree;
+        self.child_runs()
+            .flat_map(move |(c, elems)| elems.iter().map(move |&e| tree.element(c, e)))
+    }
+
+    /// The children as `(chunk, elements)` runs: the root's children are
+    /// the top-level elements of every chunk, any other node's are one
+    /// slice of its own chunk.
+    fn child_runs(&self) -> impl DoubleEndedIterator<Item = (usize, &'t [Element])> + 't {
+        let tree = self.tree;
+        let (chunks, id) = match self.chunk {
+            ROOT => (0..tree.chunks.len(), None),
+            c => (c as usize..c as usize + 1, Some(self.id)),
+        };
+        chunks.map(move |c| {
+            let arena = &tree.chunks[c];
+            let elems = match id {
+                Some(id) => arena.children(id),
+                None => arena.top(),
+            };
+            (c, elems)
+        })
     }
 
     /// First child rule with the given production name.
@@ -437,21 +498,79 @@ impl<'a, 't> SyntaxNode<'a, 't> {
     }
 
     /// Byte span covered by this node, if it contains any tokens.
+    ///
+    /// Each endpoint descends one side of the tree independently, so the
+    /// cost is the depth of the two boundary paths, not the size of the
+    /// subtree.
     pub fn span(&self) -> Option<(usize, usize)> {
-        let node = &self.tree.nodes[self.id as usize];
-        let elems = &self.tree.elems[node.elems_start as usize..node.elems_end as usize];
-        let first = elems.iter().find_map(|e| self.elem_span(e))?;
-        let last = elems.iter().rev().find_map(|e| self.elem_span(e))?;
-        Some((first.0, last.1))
+        Some((self.first_token()?.span().0, self.last_token()?.span().1))
     }
 
-    fn elem_span(&self, e: &Element) -> Option<(usize, usize)> {
-        match *e {
-            Element::Token(t) => {
-                let tok = &self.tree.toks[t as usize];
-                Some((tok.start, tok.end))
+    /// First token leaf, descending leftward only.
+    fn first_token(&self) -> Option<SyntaxToken<'a, 't>> {
+        #[cfg(test)]
+        SPAN_VISITS.with(|c| c.set(c.get() + 1));
+        self.children().find_map(|e| match e {
+            SyntaxElement::Token(t) => Some(t),
+            SyntaxElement::Node(n) => n.first_token(),
+        })
+    }
+
+    /// Last token leaf, descending rightward only.
+    fn last_token(&self) -> Option<SyntaxToken<'a, 't>> {
+        #[cfg(test)]
+        SPAN_VISITS.with(|c| c.set(c.get() + 1));
+        self.children().rev().find_map(|e| match e {
+            SyntaxElement::Token(t) => Some(t),
+            SyntaxElement::Node(n) => n.last_token(),
+        })
+    }
+
+    fn to_cst(self) -> CstNode {
+        let tree = self.tree;
+        // Sized up front (most nodes have one or two children) and filled
+        // run by run: this is the per-node loop of every `to_cst` call.
+        let mut children = Vec::with_capacity(self.child_runs().map(|(_, e)| e.len()).sum());
+        for (c, elems) in self.child_runs() {
+            for &e in elems {
+                children.push(match e {
+                    Element::Node(id) => SyntaxNode { tree, chunk: c as u32, id }.to_cst(),
+                    Element::Token(t) => {
+                        let tok = &tree.toks[tree.tok_lo[c] + t as usize];
+                        CstNode::Token {
+                            kind: tree.parser.scanner().name(tok.kind).to_string(),
+                            text: tok.text(tree.input).to_string(),
+                            start: tok.start,
+                            end: tok.end,
+                        }
+                    }
+                });
             }
-            Element::Node(n) => SyntaxNode { tree: self.tree, id: n }.span(),
+        }
+        let (prod, alt) = self.prod_alt();
+        CstNode::Rule {
+            name: tree.parser.prod_name(tree.mode, prod).to_string(),
+            label: tree.parser.alt_label(tree.mode, prod, alt).map(str::to_string),
+            children,
+        }
+    }
+
+    fn pretty(&self, out: &mut String, depth: usize) {
+        use std::fmt::Write as _;
+        let indent = "  ".repeat(depth);
+        let name = self.name();
+        let _ = match self.label() {
+            Some(l) => writeln!(out, "{indent}{name} #{l}"),
+            None => writeln!(out, "{indent}{name}"),
+        };
+        for e in self.children() {
+            match e {
+                SyntaxElement::Node(n) => n.pretty(out, depth + 1),
+                SyntaxElement::Token(t) => {
+                    let (kind, text) = (t.kind_name(), t.text());
+                    let _ = writeln!(out, "{}{kind} {text:?}", "  ".repeat(depth + 1));
+                }
+            }
         }
     }
 }
@@ -593,54 +712,27 @@ mod tests {
         assert_eq!(interner.len(), before);
     }
 
+
     #[test]
-    fn build_chunked_matches_flattened_build() {
-        use crate::events::ERROR_NODE;
-        // chunk A: node(tok0 tok1), chunk B: bare tok2, chunk C: error(tok3 tok4)
-        let a = [
-            Event::Open { prod: 1, alt: 2 },
-            Event::Token { index: 0 },
-            Event::Token { index: 1 },
-            Event::Close,
-        ];
-        let b = [Event::Token { index: 0 }];
-        let c = [
-            Event::Open { prod: ERROR_NODE, alt: 0 },
-            Event::Token { index: 0 },
-            Event::Token { index: 1 },
-            Event::Close,
-        ];
-        let chunks: [(&[Event], u32); 3] = [(&a, 0), (&b, 2), (&c, 3)];
-        let mut chunked = TreeBuffers::default();
-        let croot = chunked.build_chunked((7, 0), chunks.into_iter());
-
-        let mut flat_events = vec![Event::Open { prod: 7, alt: 0 }];
-        for (events, base) in chunks {
-            for ev in events {
-                flat_events.push(match *ev {
-                    Event::Token { index } => Event::Token { index: index + base },
-                    other => other,
-                });
-            }
+    fn span_descends_one_path_per_endpoint() {
+        // n0 : n1 ; n1 : n2 ; … n39 : IDENT — a 40-deep single-child chain
+        const DEPTH: usize = 40;
+        let mut g = String::from("grammar c;\nstart n0;\n");
+        for i in 0..DEPTH - 1 {
+            g.push_str(&format!("n{i} : n{} ;\n", i + 1));
         }
-        flat_events.push(Event::Close);
-        let mut flat = TreeBuffers::default();
-        let froot = flat.build(&flat_events);
-
-        assert_eq!(croot, froot);
-        assert_eq!(chunked.nodes.len(), flat.nodes.len());
-        assert_eq!(chunked.elems.len(), flat.elems.len());
-        for (cn, fn_) in chunked.nodes.iter().zip(&flat.nodes) {
-            assert_eq!((cn.prod, cn.alt), (fn_.prod, fn_.alt));
-            assert_eq!((cn.elems_start, cn.elems_end), (fn_.elems_start, fn_.elems_end));
-        }
-        for (ce, fe) in chunked.elems.iter().zip(&flat.elems) {
-            match (ce, fe) {
-                (Element::Node(x), Element::Node(y)) => assert_eq!(x, y),
-                (Element::Token(x), Element::Token(y)) => assert_eq!(x, y),
-                _ => panic!("element kind diverged"),
-            }
-        }
+        g.push_str(&format!("n{} : IDENT ;\n", DEPTH - 1));
+        let t = parse_tokens("tokens c;\nIDENT = /[a-z]+/;\nWS = skip /[ ]+/;\n").unwrap();
+        let p = Parser::new(parse_grammar(&g).unwrap(), &t).unwrap();
+        let mut s = p.session();
+        let tree = s.parse_tree(" abc").unwrap();
+        assert_eq!(tree.rule_count(), DEPTH);
+        let before = SPAN_VISITS.with(|c| c.get());
+        assert_eq!(tree.root().span(), Some((1, 4)));
+        // one visit per node on each endpoint's path; asking each child
+        // for its full span would make this 2^DEPTH
+        assert_eq!(SPAN_VISITS.with(|c| c.get()) - before, 2 * DEPTH);
+        assert_eq!(tree.root().span(), tree.to_cst().span());
     }
 
     #[test]
@@ -655,16 +747,52 @@ mod tests {
             Event::Token { index: 3 },
             Event::Close,
         ];
-        let mut buf = TreeBuffers::default();
-        let root = buf.build(&events);
-        let rd = &buf.nodes[root as usize];
-        assert_eq!((rd.elems_start, rd.elems_end), (2, 5));
-        let kids = &buf.elems[rd.elems_start as usize..rd.elems_end as usize];
-        assert!(matches!(kids[0], Element::Token(0)));
-        assert!(matches!(kids[1], Element::Node(1)));
-        assert!(matches!(kids[2], Element::Token(3)));
-        let inner = &buf.nodes[1];
-        let ikids = &buf.elems[inner.elems_start as usize..inner.elems_end as usize];
-        assert!(matches!(ikids, [Element::Token(1), Element::Token(2)]));
+        let arena = Arena::from_events(&mut TreeBuilder::default(), &events, 0);
+        assert!(matches!(arena.top(), [Element::Node(0)]));
+        assert_eq!((arena.nodes[0].prod, arena.nodes[0].alt), (0, 0));
+        let kids = arena.children(0);
+        assert!(matches!(
+            kids,
+            [Element::Token(0), Element::Node(1), Element::Token(3)]
+        ));
+        assert!(matches!(
+            arena.children(1),
+            [Element::Token(1), Element::Token(2)]
+        ));
+    }
+
+    #[test]
+    fn arena_is_chunk_relative_with_top_level_elements_last() {
+        use crate::events::ERROR_NODE;
+        // node(tok5 tok6) tok7 error(tok8): a window drive's raw output
+        let events = [
+            Event::Open { prod: 1, alt: 0 },
+            Event::Token { index: 5 },
+            Event::Token { index: 6 },
+            Event::Close,
+            Event::Token { index: 7 },
+            Event::Open {
+                prod: ERROR_NODE,
+                alt: 0,
+            },
+            Event::Token { index: 8 },
+            Event::Close,
+        ];
+        let mut b = TreeBuilder::default();
+        let mut arena = Arena::from_events(&mut b, &events, 5);
+        assert_eq!(arena.len(), 2);
+        assert!(matches!(
+            arena.top(),
+            [Element::Node(0), Element::Token(2), Element::Node(1)]
+        ));
+        assert!(matches!(
+            arena.children(0),
+            [Element::Token(0), Element::Token(1)]
+        ));
+        assert!(matches!(arena.children(1), [Element::Token(3)]));
+        // a rebuild replaces the old contents
+        arena.build(&mut b, &events[4..5], 7);
+        assert_eq!(arena.len(), 0);
+        assert!(matches!(arena.top(), [Element::Token(0)]));
     }
 }

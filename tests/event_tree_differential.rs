@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use sqlweave::dialects::Dialect;
 use sqlweave::parser_rt::engine::EngineMode;
+use sqlweave::parser_rt::{CstNode, SyntaxElement, SyntaxNode};
 use sqlweave_bench::{corpus, generated, parser, rejection_witness};
 
 const MODES: [EngineMode; 2] = [EngineMode::Backtracking, EngineMode::Ll1Table];
@@ -52,6 +53,52 @@ fn corpus_trees_match_seed_engines_everywhere() {
                 }
             }
         }
+    }
+}
+
+/// Assert that `node` and every node below it report the same span as
+/// their `CstNode` twins.
+fn assert_spans_match(node: SyntaxNode<'_, '_>, cst: &CstNode, ctx: &str) {
+    assert_eq!(node.span(), cst.span(), "{ctx}: span of `{}`", node.name());
+    let kids: Vec<SyntaxElement<'_, '_>> = node.children().collect();
+    assert_eq!(
+        kids.len(),
+        cst.children().len(),
+        "{ctx}: children of `{}`",
+        node.name()
+    );
+    for (kid, twin) in kids.iter().zip(cst.children()) {
+        if let Some(n) = kid.as_node() {
+            assert_spans_match(n, twin, ctx);
+        }
+    }
+}
+
+/// `SyntaxNode::span` equals `CstNode::span` on every node of every corpus
+/// statement's tree, and of each corpus opened as one document, whose root
+/// spans many statement chunks.
+#[test]
+fn node_spans_match_cst_spans_on_every_corpus() {
+    for d in Dialect::ALL {
+        let p = parser(d, EngineMode::Backtracking);
+        let mut session = p.session();
+        for stmt in corpus(d) {
+            let tree = session
+                .parse_tree(stmt)
+                .unwrap_or_else(|e| panic!("{}: {stmt:?}: {e}", d.name()));
+            assert_spans_match(
+                tree.root(),
+                &tree.to_cst(),
+                &format!("{} {stmt:?}", d.name()),
+            );
+        }
+        session.open_document(&corpus(d).join(";\n"));
+        let outcome = session.try_document_outcome().expect("document open");
+        assert_spans_match(
+            outcome.tree.root(),
+            &outcome.tree.to_cst(),
+            &format!("{} document", d.name()),
+        );
     }
 }
 

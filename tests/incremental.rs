@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use sqlweave::dialects::Dialect;
+use sqlweave::lexgen::Token;
 use sqlweave::parser_rt::engine::EngineMode;
 use sqlweave::parser_rt::{CstNode, ParseSession, SyntaxElement, SyntaxNode, SyntaxTree};
 use sqlweave_bench::{corpus, parser};
@@ -36,7 +37,9 @@ fn base_script(dialect: Dialect) -> String {
 /// Apply one edit incrementally and assert identity with a from-scratch
 /// resilient parse of the same edited text. The eager half of the
 /// [`sqlweave::parser_rt::EditOutcome`] (diagnostics, stats) is checked
-/// first, then the tree is materialized through the lazy handle.
+/// first, then the tree is read through the lazy handle: its CST, node
+/// count and token stream (kinds and spans) must all be the from-scratch
+/// tree's.
 fn check_edit(
     s: &mut ParseSession<'_>,
     oracle: &mut ParseSession<'_>,
@@ -45,7 +48,7 @@ fn check_edit(
     rep: &str,
     ctx: &str,
 ) {
-    let (inc_cst, inc_errs): (CstNode, Vec<String>) = {
+    let (inc_cst, inc_errs, inc_nodes, inc_toks): (CstNode, Vec<String>, usize, Vec<Token>) = {
         let mut o = s.apply_edit(lo..hi, rep);
         let errs = o.errors.iter().map(|e| e.to_string()).collect();
         let tree = o.tree.get();
@@ -53,17 +56,61 @@ fn check_edit(
             token_coverage(&tree).iter().all(|&c| c == 1),
             "token coverage broken: {ctx}"
         );
-        (tree.to_cst(), errs)
+        (
+            tree.to_cst(),
+            errs,
+            tree.node_count(),
+            tree.tokens().to_vec(),
+        )
     };
     let text = s.document().to_string();
-    let (full_cst, full_errs) = {
+    let (full_cst, full_errs, full_nodes, full_toks) = {
         let o = oracle.parse_resilient(&text);
-        (o.tree.to_cst(), o.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>())
+        (
+            o.tree.to_cst(),
+            o.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>(),
+            o.tree.node_count(),
+            o.tree.tokens().to_vec(),
+        )
     };
     assert_eq!(inc_errs, full_errs, "diagnostics diverged: {ctx}\ntext: {text:?}");
     assert_eq!(inc_cst, full_cst, "tree diverged: {ctx}\ntext: {text:?}");
+    assert_eq!(
+        inc_nodes, full_nodes,
+        "node count diverged: {ctx}\ntext: {text:?}"
+    );
+    assert_eq!(
+        inc_toks, full_toks,
+        "token stream diverged: {ctx}\ntext: {text:?}"
+    );
     let st = s.edit_stats();
     assert_eq!(st.total_tokens, full_cst.tokens().len(), "{ctx}");
+}
+
+/// Apply one edit incrementally without reading the tree and assert that
+/// its diagnostics equal a from-scratch resilient parse's.
+fn check_diagnostics(
+    s: &mut ParseSession<'_>,
+    oracle: &mut ParseSession<'_>,
+    lo: usize,
+    hi: usize,
+    rep: &str,
+    ctx: &str,
+) {
+    let errs: Vec<String> = s
+        .apply_edit(lo..hi, rep)
+        .errors
+        .iter()
+        .map(|e| e.to_string())
+        .collect();
+    let text = s.document().to_string();
+    let full: Vec<String> = oracle
+        .parse_resilient(&text)
+        .errors
+        .iter()
+        .map(|e| e.to_string())
+        .collect();
+    assert_eq!(errs, full, "diagnostics diverged: {ctx}\ntext: {text:?}");
 }
 
 /// Golden single-edit cases on every dialect × engine.
@@ -360,20 +407,14 @@ fn diagnostics_stay_exact_without_materializing_trees() {
     let mut rng = XorShift(0xfeed_beef);
     for step in 0..24 {
         let (lo, hi, rep) = random_edit(&mut rng, s.document());
-        let errs: Vec<String> = s
-            .apply_edit(lo..hi, rep)
-            .errors
-            .iter()
-            .map(|e| e.to_string())
-            .collect();
-        let text = s.document().to_string();
-        let full: Vec<String> = oracle
-            .parse_resilient(&text)
-            .errors
-            .iter()
-            .map(|e| e.to_string())
-            .collect();
-        assert_eq!(errs, full, "step {step}: {lo}..{hi} := {rep:?}\ntext: {text:?}");
+        check_diagnostics(
+            &mut s,
+            &mut oracle,
+            lo,
+            hi,
+            rep,
+            &format!("step {step}: {lo}..{hi} := {rep:?}"),
+        );
     }
     // one final materialization after the whole un-materialized script
     check_edit(&mut s, &mut oracle, 0, 0, "", "final catch-up");
@@ -439,8 +480,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random edit scripts across every dialect × engine: after each of
-    /// 8 edits the incremental outcome matches a from-scratch resilient
-    /// parse byte for byte.
+    /// 8 edits the incremental diagnostics match a from-scratch resilient
+    /// parse byte for byte, and on seeded steps (always the last) so do
+    /// the tree, its node count and its tokens. Steps that skip the read
+    /// leave the chunk arenas to persist across several edits, fallbacks
+    /// and token-preserving edits before the next read checks them.
     #[test]
     fn random_edit_scripts_match_full_reparse(seed in 0u64..u64::MAX) {
         for d in Dialect::ALL {
@@ -452,14 +496,12 @@ proptest! {
                 s.open_document(&base_script(d));
                 for step in 0..8 {
                     let (lo, hi, rep) = random_edit(&mut rng, s.document());
-                    check_edit(
-                        &mut s,
-                        &mut oracle,
-                        lo,
-                        hi,
-                        rep,
-                        &format!("{} {mode:?} seed {seed} step {step}: {lo}..{hi} := {rep:?}", d.name()),
-                    );
+                    let ctx = format!("{} {mode:?} seed {seed} step {step}: {lo}..{hi} := {rep:?}", d.name());
+                    if step == 7 || rng.below(3) == 0 {
+                        check_edit(&mut s, &mut oracle, lo, hi, rep, &ctx);
+                    } else {
+                        check_diagnostics(&mut s, &mut oracle, lo, hi, rep, &ctx);
+                    }
                 }
             }
         }
