@@ -80,7 +80,6 @@ pub fn generate_script(dialect: Dialect, seed: u64, target_bytes: usize) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlweave_parser_rt::engine::EngineMode;
 
     #[test]
     fn corpus_is_deterministic_and_reaches_target_size() {
@@ -95,7 +94,7 @@ mod tests {
     fn corpus_lexes_cleanly_on_every_dialect() {
         for d in Dialect::ALL {
             let script = generate_script(d, 3, 32 * 1024);
-            let scanner = crate::parser(d, EngineMode::Backtracking).scanner();
+            let scanner = crate::parser(d).scanner();
             let toks = scanner
                 .scan(&script)
                 .unwrap_or_else(|e| panic!("{}: {e}", d.name()));

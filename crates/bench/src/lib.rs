@@ -10,9 +10,8 @@
 //! * [`corpus::generate_script`] — seeded multi-statement scripts of any
 //!   size, the input of the scanner and incremental work-count gates.
 //!
-//! Parsers are cached per `(dialect, engine)` in [`parser`] because full
-//! composition takes tens of milliseconds and tests request them
-//! repeatedly.
+//! Parsers are cached per dialect in [`parser`] because full composition
+//! takes tens of milliseconds and tests request them repeatedly.
 
 pub mod corpus;
 
@@ -21,7 +20,7 @@ use rand::SeedableRng;
 use sqlweave_core::pipeline::Composed;
 use sqlweave_dialects::Dialect;
 use sqlweave_grammar::sentence::SentenceGenerator;
-use sqlweave_parser_rt::engine::{EngineMode, Parser};
+use sqlweave_parser_rt::engine::Parser;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -39,20 +38,15 @@ pub fn composed(dialect: Dialect) -> &'static Composed {
     })
 }
 
-/// Cached parser per dialect and engine mode.
-pub fn parser(dialect: Dialect, mode: EngineMode) -> &'static Parser {
-    // Keyed on `EngineMode` itself (it derives `Hash`): a projection like
-    // `matches!(mode, EngineMode::Ll1Table)` would silently collide two
-    // modes into one cache slot the day a third engine is added.
-    static CACHE: OnceLock<Mutex<HashMap<(&'static str, EngineMode), &'static Parser>>> =
-        OnceLock::new();
+/// Cached parser per dialect.
+pub fn parser(dialect: Dialect) -> &'static Parser {
+    static CACHE: OnceLock<Mutex<HashMap<&'static str, &'static Parser>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().unwrap();
-    let key = (dialect.name(), mode);
-    map.entry(key).or_insert_with(|| {
+    map.entry(dialect.name()).or_insert_with(|| {
         Box::leak(Box::new(
             dialect
-                .parser_with_mode(mode)
+                .parser()
                 .unwrap_or_else(|e| panic!("parser {}: {e}", dialect.name())),
         ))
     })
@@ -210,7 +204,7 @@ mod tests {
     #[test]
     fn corpora_accepted_by_their_dialects() {
         for d in Dialect::ALL {
-            let p = parser(d, EngineMode::Backtracking);
+            let p = parser(d);
             for stmt in corpus(d) {
                 if let Err(e) = p.parse(stmt) {
                     panic!("{} rejected corpus statement {stmt:?}: {e}", d.name());
@@ -223,7 +217,7 @@ mod tests {
     fn rejection_witnesses_rejected() {
         for d in Dialect::ALL {
             if let Some(stmt) = rejection_witness(d) {
-                let p = parser(d, EngineMode::Backtracking);
+                let p = parser(d);
                 assert!(p.parse(stmt).is_err(), "{} accepted witness {stmt:?}", d.name());
             }
         }
@@ -232,7 +226,7 @@ mod tests {
     #[test]
     fn generated_sentences_parse() {
         for d in Dialect::ALL {
-            let p = parser(d, EngineMode::Backtracking);
+            let p = parser(d);
             for s in generated(d, 7, 50, 9) {
                 if let Err(e) = p.parse(&s) {
                     panic!("{} rejected its own sentence {s:?}: {e}", d.name());
@@ -247,7 +241,7 @@ mod tests {
             let scripts = faulty_corpus(d);
             assert!(!scripts.is_empty(), "{}", d.name());
             assert_eq!(scripts, faulty_corpus(d), "{}", d.name());
-            let p = parser(d, EngineMode::Backtracking);
+            let p = parser(d);
             let mut s = p.session();
             for script in &scripts {
                 let outcome = s.parse_resilient(script);

@@ -20,10 +20,9 @@ use proptest::prelude::*;
 use sqlweave_bench::{composed, corpus, generated, parser};
 use sqlweave_dialects::Dialect;
 use sqlweave_lexgen::{Scanner, SimdLevel};
-use sqlweave_parser_rt::engine::EngineMode;
 
 fn scanner(d: Dialect) -> &'static Scanner {
-    parser(d, EngineMode::Backtracking).scanner()
+    parser(d).scanner()
 }
 
 /// Assert the three automaton substrates and the forced-SWAR vector path

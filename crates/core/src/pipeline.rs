@@ -14,7 +14,7 @@ use crate::sequence::composition_sequence;
 use sqlweave_feature_model::{Configuration, FeatureModel};
 use sqlweave_grammar::ir::Grammar;
 use sqlweave_lexgen::tokenset::TokenSet;
-use sqlweave_parser_rt::engine::{EngineMode, Parser};
+use sqlweave_parser_rt::engine::Parser;
 
 /// A composition result, ready to become a parser.
 #[derive(Debug)]
@@ -32,14 +32,9 @@ pub struct Composed {
 }
 
 impl Composed {
-    /// Build the default (backtracking) parser.
+    /// Build the parser.
     pub fn into_parser(self) -> Result<Parser, PipelineError> {
         Ok(Parser::new(self.grammar, &self.tokens)?)
-    }
-
-    /// Build a parser with an explicit engine mode.
-    pub fn into_parser_with_mode(self, mode: EngineMode) -> Result<Parser, PipelineError> {
-        Ok(Parser::new(self.grammar, &self.tokens)?.with_mode(mode))
     }
 
     /// Build a parser without consuming the composition record.

@@ -14,7 +14,7 @@
 use sqlweave_core::pipeline::Composed;
 use sqlweave_core::PipelineError;
 use sqlweave_feature_model::Configuration;
-use sqlweave_parser_rt::engine::{EngineMode, Parser};
+use sqlweave_parser_rt::engine::Parser;
 use sqlweave_sql_features::catalog;
 
 /// A named dialect preset.
@@ -273,14 +273,9 @@ impl Dialect {
             .compose(&self.configuration())
     }
 
-    /// Build the dialect parser (backtracking engine).
+    /// Build the dialect parser.
     pub fn parser(self) -> Result<Parser, PipelineError> {
         self.composed()?.into_parser()
-    }
-
-    /// Build the dialect parser with an explicit engine mode.
-    pub fn parser_with_mode(self, mode: EngineMode) -> Result<Parser, PipelineError> {
-        self.composed()?.into_parser_with_mode(mode)
     }
 }
 

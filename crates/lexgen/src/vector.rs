@@ -31,7 +31,7 @@
 //!
 //! The keyword-free rewrite is only used when a build-time **soundness
 //! gate** proves it tokenizes byte-identically to the full automaton (see
-//! [`VectorTables::build`]); any keyword failing the gate drops the whole
+//! `VectorTables::build`); any keyword failing the gate drops the whole
 //! dialect to run-skipping over the full compiled DFA, which is always
 //! exact. Equivalence is additionally proven empirically by the
 //! four-substrate differential suite in `tests/lex_differential.rs`.
@@ -43,7 +43,7 @@ use crate::nfa::Nfa;
 use crate::scanner::{Token, TokenKind};
 use crate::tokenset::{RuleKind, TokenRule};
 
-/// Which chunked classifier [`skip_run`] uses.
+/// Which chunked classifier the run skipper (`skip_run`) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
     /// Portable 8-byte SWAR loop (always available).

@@ -1,22 +1,23 @@
-//! The two parse engines: FIRST-pruned backtracking recursive descent over
-//! the EBNF IR, and table-driven LL(1) over the flattened BNF.
+//! The parse engine: FIRST-pruned backtracking recursive descent over the
+//! EBNF IR, with compiled LL(k) dispatch tables at the decisions static
+//! lookahead analysis resolves.
 //!
-//! Both engines run on *compiled* grammar forms built once at
+//! The engine runs on a *compiled* grammar form built once at
 //! [`Parser::new`]: token kinds are interned to dense ids (the scanner's
 //! rule indices), FIRST sets become bitsets, nonterminal references become
-//! vector indices, and the LL(1) prediction table becomes a dense
-//! per-production row. The hot path performs no string comparisons and no
+//! vector indices, and every LL(1) conflict that `analyze_lookahead`
+//! resolves with k ≤ 3 tokens becomes a sorted dispatch table consulted
+//! before speculating. The hot path performs no string comparisons and no
 //! hashing.
 //!
-//! Since the green-tree rework the engines do not construct tree nodes at
-//! all: they append [`Event`]s to a flat buffer (see [`crate::events`]),
-//! and abandoning a speculative alternative is a single buffer truncation.
-//! The backtracking engine additionally memoizes *failed* `(production,
-//! position)` probes in a [`FailureMemo`] bitmap, so the Group/Opt/Star
-//! re-entry pattern — where an enclosing alternative re-probes the same
-//! nonterminal at the same position — fails in O(1) instead of re-deriving
-//! (and re-discarding) the whole subtree. Successful parses are
-//! materialized into a [`crate::tree::SyntaxTree`] by
+//! The engine does not construct tree nodes at all: it appends [`Event`]s
+//! to a flat buffer (see [`crate::events`]), and abandoning a speculative
+//! alternative is a single buffer truncation. Failed `(production,
+//! position)` probes are memoized in a bitmap (`FailureMemo`), so the
+//! Group/Opt/Star re-entry pattern — where an enclosing alternative
+//! re-probes the same nonterminal at the same position — fails in O(1)
+//! instead of re-deriving (and re-discarding) the whole subtree.
+//! Successful parses are materialized into a [`crate::tree::SyntaxTree`] by
 //! [`crate::session::ParseSession`]; [`Parser::parse`] keeps the seed
 //! [`CstNode`] API as a thin conversion on top.
 
@@ -27,26 +28,11 @@ use crate::session::{ParseSession, SessionBuffers};
 use sqlweave_grammar::analysis::{analyze, AnalysisError, GrammarAnalysis, EOF};
 use sqlweave_grammar::ir::{Grammar, Term};
 use sqlweave_grammar::lookahead::{analyze_lookahead, recovery_sync_set, Outcome, K_MAX};
-use sqlweave_grammar::lower::is_synthetic;
 use sqlweave_lexgen::tokenset::{TokenSet, TokenSetError};
 use sqlweave_lexgen::{LineIndex, Scanner, Token};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Mutex;
-
-/// Which algorithm [`Parser::parse`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineMode {
-    /// Recursive-descent interpretation of the EBNF grammar with FIRST-set
-    /// pruning and ordered backtracking across alternatives. Handles any
-    /// composed grammar (PEG-style disambiguation on non-LL(1) spots).
-    #[default]
-    Backtracking,
-    /// Table-driven predictive parsing over the flattened grammar. Fastest,
-    /// but decisions follow the LL(1) table; reported conflicts resolve to
-    /// the first-declared alternative.
-    Ll1Table,
-}
 
 /// Errors building a [`Parser`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,7 +82,9 @@ pub struct ParserStats {
     pub flat_productions: usize,
     /// Populated LL(1) table cells.
     pub table_cells: usize,
-    /// LL(1) conflicts (resolved by declaration order).
+    /// LL(1) conflicts of the flattened grammar (the engine resolves each
+    /// by a dispatch table where LL(k ≤ 3) lookahead separates the
+    /// alternatives, and by ordered backtracking elsewhere).
     pub conflicts: usize,
     /// Token rules in the scanner.
     pub token_rules: usize,
@@ -104,24 +92,11 @@ pub struct ParserStats {
     pub dfa_states: usize,
     /// Byte equivalence classes in the compiled scanner dispatch tables.
     pub byte_classes: usize,
-    /// LL(k) dispatch-table hits (dynamic; zero on a freshly built parser,
-    /// populated by [`crate::session::ParseSession::stats`]).
-    pub decision_table_hits: u64,
-    /// Speculative alternative/body probes attempted (dynamic).
-    pub alt_attempts: u64,
-    /// Probes abandoned by event-buffer truncation (dynamic).
-    pub backtracks: u64,
-    /// Failure-memo hits (dynamic).
-    pub failure_memo_hits: u64,
-    /// Panic-mode recoveries performed by resilient parses (dynamic).
-    pub error_recoveries: u64,
-    /// Tokens skipped into error nodes by resilient parses (dynamic).
-    pub recovery_skipped_tokens: u64,
 }
 
-/// Dynamic counters accumulated by the backtracking engine across one
-/// session's parses (backtracks, dispatch-table hits, memo hits;
-/// Experiment B5).
+/// Dynamic counters accumulated by the engine across one session's
+/// parses (dispatch-table hits, speculative probes, backtracks and
+/// recoveries; Experiment B5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCounters {
     /// Dispatch-table consultations that selected an alternative directly.
@@ -190,9 +165,9 @@ impl TokBits {
 /// indices below.
 pub(crate) const NO_DECISION: u32 = u32::MAX;
 
-/// Compiled EBNF term for the backtracking engine. Decision indices point
-/// into [`Parser::decisions`] when static lookahead analysis resolved the
-/// LL(1) conflict at the corresponding flattened decision point.
+/// Compiled EBNF term. Decision indices point into [`Parser::decisions`]
+/// when static lookahead analysis resolved the LL(1) conflict at the
+/// corresponding flattened decision point.
 pub(crate) enum CTerm {
     Tok(u32),
     Nt(u32),
@@ -248,49 +223,20 @@ fn rt_w_push(w: u64, t: u16) -> u64 {
     (((l + 1) as u64) << 48) | (w & 0x0000_FFFF_FFFF_FFFF) | ((t as u64) << (32 - 16 * l))
 }
 
-/// Compiled flat term for the LL(1) engine.
-pub(crate) enum FTerm {
-    Tok(u32),
-    Nt { idx: u32, synthetic: bool },
-}
-
-pub(crate) struct FAlt {
-    pub(crate) seq: Vec<FTerm>,
-    pub(crate) label: Option<String>,
-}
-
-pub(crate) const NO_ALT: u16 = u16::MAX;
-
-pub(crate) struct FProd {
-    pub(crate) name: String,
-    pub(crate) alts: Vec<FAlt>,
-    /// Dense prediction row: token id → alternative index (or [`NO_ALT`]).
-    pub(crate) row: Box<[u16]>,
-    /// Alternative predicted at end of input.
-    pub(crate) eof_alt: u16,
-    /// Tokens with a prediction (for error messages).
-    pub(crate) expected: TokBits,
-}
-
 /// A ready-to-use parser for one composed grammar.
 pub struct Parser {
     grammar: Grammar,
     analysis: GrammarAnalysis,
     pub(crate) scanner: Scanner,
-    mode: EngineMode,
     pub(crate) n_tokens: usize,
     pub(crate) cprods: Vec<CProd>,
     pub(crate) cstart: u32,
-    pub(crate) fprods: Vec<FProd>,
-    pub(crate) fstart: u32,
     decisions: Vec<RtDecision>,
     /// Statement-level synchronization tokens for panic-mode recovery
     /// (derived from FOLLOW of the start skeleton; EOF is implicit).
     sync_bits: TokBits,
-    /// FOLLOW bitset per compiled EBNF production (recovery stop set).
+    /// FOLLOW bitset per compiled production (recovery stop set).
     cfollow: Vec<TokBits>,
-    /// FOLLOW bitset per flat production (recovery stop set, LL(1) mode).
-    ffollow: Vec<TokBits>,
     /// Recycled [`SessionBuffers`] backing the [`Parser::parse`] and
     /// [`Parser::parse_resilient`] conveniences, so repeated one-shot
     /// calls reach the session path's zero-allocation steady state
@@ -302,7 +248,6 @@ impl fmt::Debug for Parser {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Parser")
             .field("grammar", &self.grammar.name())
-            .field("mode", &self.mode)
             .finish_non_exhaustive()
     }
 }
@@ -327,8 +272,8 @@ impl Parser {
         let n_tokens = scanner.rule_count();
 
         // Static LL(k) lookahead analysis: every conflict the analysis
-        // resolves becomes a compiled dispatch table the backtracking
-        // engine consults before speculating.
+        // resolves becomes a compiled dispatch table the engine consults
+        // before speculating.
         let mut decisions: Vec<RtDecision> = Vec::new();
         let mut decision_of: HashMap<String, u32> = HashMap::new();
         if !analysis.conflicts.is_empty() {
@@ -374,33 +319,27 @@ impl Parser {
             decision_of: &decision_of,
         };
         let (cprods, cstart) = compiler.compile_ebnf(&grammar);
-        let (fprods, fstart) = compiler.compile_flat();
 
         // Panic-mode recovery sets: the statement-level sync tokens from
         // the start skeleton's FOLLOW machinery, plus a FOLLOW bitset per
-        // production of each compiled form (per-production stop points).
+        // compiled production (per-production stop points).
         let sync_bits = compiler.bits_of(&recovery_sync_set(&analysis));
         let empty = BTreeSet::new();
-        let follow_bits = |name: &str| -> TokBits {
-            compiler.bits_of(analysis.follow.get(name).unwrap_or(&empty))
-        };
-        let cfollow = cprods.iter().map(|p| follow_bits(&p.name)).collect();
-        let ffollow = fprods.iter().map(|p| follow_bits(&p.name)).collect();
+        let cfollow = cprods
+            .iter()
+            .map(|p| compiler.bits_of(analysis.follow.get(&p.name).unwrap_or(&empty)))
+            .collect();
 
         Ok(Parser {
             grammar,
             analysis,
             scanner,
-            mode: EngineMode::default(),
             n_tokens,
             cprods,
             cstart,
-            fprods,
-            fstart,
             decisions,
             sync_bits,
             cfollow,
-            ffollow,
             session_pool: Mutex::new(Vec::new()),
         })
     }
@@ -411,24 +350,10 @@ impl Parser {
         self.sync_bits.contains(kind)
     }
 
-    /// FOLLOW bitset of a compiled production (per emitting engine), used
-    /// as the per-production stop set during panic-mode token skipping.
-    pub(crate) fn follow_bits(&self, mode: EngineMode, prod: u32) -> Option<&TokBits> {
-        match mode {
-            EngineMode::Backtracking => self.cfollow.get(prod as usize),
-            EngineMode::Ll1Table => self.ffollow.get(prod as usize),
-        }
-    }
-
-    /// Select the engine mode (builder style).
-    pub fn with_mode(mut self, mode: EngineMode) -> Parser {
-        self.mode = mode;
-        self
-    }
-
-    /// Current engine mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
+    /// FOLLOW bitset of a compiled production, used as the per-production
+    /// stop set during panic-mode token skipping.
+    pub(crate) fn follow_bits(&self, prod: u32) -> Option<&TokBits> {
+        self.cfollow.get(prod as usize)
     }
 
     /// Number of LL(1) conflicts the static lookahead analysis resolved
@@ -437,7 +362,7 @@ impl Parser {
         self.decisions.len()
     }
 
-    /// `true` when the backtracking engine will consult dispatch tables.
+    /// `true` when the engine will consult dispatch tables.
     pub(crate) fn tables_active(&self) -> bool {
         !self.decisions.is_empty()
     }
@@ -468,12 +393,6 @@ impl Parser {
             token_rules: self.scanner.rule_count(),
             dfa_states: self.scanner.dfa_states(),
             byte_classes: self.scanner.byte_classes(),
-            decision_table_hits: 0,
-            alt_attempts: 0,
-            backtracks: 0,
-            failure_memo_hits: 0,
-            error_recoveries: 0,
-            recovery_skipped_tokens: 0,
         }
     }
 
@@ -552,31 +471,23 @@ impl Parser {
     }
 
     /// Resolve a compiled production id (as found in [`Event::Open`]) to
-    /// its production name, per emitting engine.
-    pub(crate) fn prod_name(&self, mode: EngineMode, prod: u32) -> &str {
+    /// its production name.
+    pub(crate) fn prod_name(&self, prod: u32) -> &str {
         if prod == ERROR_NODE {
             return "error";
         }
-        match mode {
-            EngineMode::Backtracking => &self.cprods[prod as usize].name,
-            EngineMode::Ll1Table => &self.fprods[prod as usize].name,
-        }
+        &self.cprods[prod as usize].name
     }
 
     /// Resolve a compiled `(production, alternative)` pair to the
-    /// alternative's label, per emitting engine.
-    pub(crate) fn alt_label(&self, mode: EngineMode, prod: u32, alt: u32) -> Option<&str> {
+    /// alternative's label.
+    pub(crate) fn alt_label(&self, prod: u32, alt: u32) -> Option<&str> {
         if prod == ERROR_NODE {
             return None;
         }
-        match mode {
-            EngineMode::Backtracking => {
-                self.cprods[prod as usize].alts[alt as usize].label.as_deref()
-            }
-            EngineMode::Ll1Table => {
-                self.fprods[prod as usize].alts[alt as usize].label.as_deref()
-            }
-        }
+        self.cprods[prod as usize].alts[alt as usize]
+            .label
+            .as_deref()
     }
 
     pub(crate) fn error_from(
@@ -631,17 +542,13 @@ impl Parser {
         }
     }
 
-    // ---------- event-emitting engines ----------
+    // ---------- the event-emitting engine ----------
 
-    /// Run the configured engine over an already-scanned token stream,
-    /// appending the parse to `ctx.events`. Returns the position after the
-    /// start production on success (the caller checks it consumed all
-    /// input).
+    /// Run the engine over an already-scanned token stream, appending the
+    /// parse to `ctx.events`. Returns the position after the start
+    /// production on success (the caller checks it consumed all input).
     pub(crate) fn run_events(&self, ctx: &mut EvCtx<'_>) -> Result<usize, ()> {
-        match self.mode {
-            EngineMode::Backtracking => self.ev_bt_nt(ctx, self.cstart, 0),
-            EngineMode::Ll1Table => self.ev_ll1(ctx, self.fstart, 0, true),
-        }
+        self.ev_bt_nt(ctx, self.cstart, 0)
     }
 
     /// Consult the compiled dispatch table `di` at `pos`. Returns the
@@ -875,79 +782,6 @@ impl Parser {
             }
         }
     }
-
-    /// Expand one flat nonterminal. Real rules (`open`) wrap their children
-    /// in `Open`/`Close`; synthetic rules introduced by flattening splice
-    /// their children into the enclosing expansion, exactly like the seed
-    /// engine did.
-    fn ev_ll1(
-        &self,
-        ctx: &mut EvCtx<'_>,
-        prod: u32,
-        pos: usize,
-        open: bool,
-    ) -> Result<usize, ()> {
-        // Same frontier-owner tracking as the backtracking engine.
-        let saved = ctx.notes.cur_prod;
-        ctx.notes.cur_prod = prod;
-        let result = self.ev_ll1_inner(ctx, prod, pos, open);
-        ctx.notes.cur_prod = saved;
-        result
-    }
-
-    fn ev_ll1_inner(
-        &self,
-        ctx: &mut EvCtx<'_>,
-        prod: u32,
-        mut pos: usize,
-        open: bool,
-    ) -> Result<usize, ()> {
-        // SAFETY: `prod` comes from compiled `FTerm::Nt` indices (or
-        // `fstart`), all produced by the compiler as indices into
-        // `fprods`; `row` is built dense over `n_tokens` entries and every
-        // scanned kind id is an index into the scanner's rule list, which
-        // is exactly `n_tokens` long. Hoisting both bounds checks out of
-        // the dispatch (one per expansion, executed for every nonterminal
-        // of every statement) is the LL(1) driver's hottest win.
-        debug_assert!((prod as usize) < self.fprods.len());
-        let fprod = unsafe { self.fprods.get_unchecked(prod as usize) };
-        let alt_index = match ctx.kind_ids.get(pos) {
-            Some(&k) => {
-                debug_assert!((k as usize) < fprod.row.len());
-                unsafe { *fprod.row.get_unchecked(k as usize) }
-            }
-            None => fprod.eof_alt,
-        };
-        if alt_index == NO_ALT {
-            ctx.notes.note_set(pos, &fprod.expected);
-            return Err(());
-        }
-        if open {
-            ctx.events.push(Event::Open { prod, alt: alt_index as u32 });
-        }
-        let alt = &fprod.alts[alt_index as usize];
-        for term in &alt.seq {
-            match term {
-                FTerm::Tok(kind) => match ctx.kind_ids.get(pos) {
-                    Some(k) if k == kind => {
-                        ctx.events.push(Event::Token { index: pos as u32 });
-                        pos += 1;
-                    }
-                    _ => {
-                        ctx.notes.note_id(pos, *kind);
-                        return Err(());
-                    }
-                },
-                FTerm::Nt { idx, synthetic } => {
-                    pos = self.ev_ll1(ctx, *idx, pos, !*synthetic)?;
-                }
-            }
-        }
-        if open {
-            ctx.events.push(Event::Close);
-        }
-        Ok(pos)
-    }
 }
 
 // ---------------------------------------------------------------- compiler
@@ -1096,62 +930,12 @@ impl Compiler<'_> {
             })
             .collect()
     }
-
-    fn compile_flat(&self) -> (Vec<FProd>, u32) {
-        let flat = &self.analysis.flat;
-        let index: HashMap<&str, u32> = flat
-            .productions()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.name.as_str(), i as u32))
-            .collect();
-        let mut prods: Vec<FProd> = flat
-            .productions()
-            .iter()
-            .map(|p| FProd {
-                name: p.name.clone(),
-                alts: p
-                    .alternatives
-                    .iter()
-                    .map(|alt| FAlt {
-                        label: alt.label.clone(),
-                        seq: alt
-                            .seq
-                            .iter()
-                            .map(|t| match t {
-                                Term::Token(t) => FTerm::Tok(self.tok_id(t)),
-                                Term::NonTerminal(n) => FTerm::Nt {
-                                    idx: index[n.as_str()],
-                                    synthetic: is_synthetic(n),
-                                },
-                                _ => unreachable!("flattened grammar has no nested terms"),
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-                row: vec![NO_ALT; self.n_tokens].into_boxed_slice(),
-                eof_alt: NO_ALT,
-                expected: TokBits::new(self.n_tokens),
-            })
-            .collect();
-        for ((nt, tok), &alt) in &self.analysis.table {
-            let pi = index[nt.as_str()] as usize;
-            if tok == EOF {
-                prods[pi].eof_alt = alt as u16;
-            } else {
-                let id = self.tok_id(tok);
-                prods[pi].row[id as usize] = alt as u16;
-                prods[pi].expected.insert(id);
-            }
-        }
-        (prods, index[flat.start()])
-    }
 }
 
 // --------------------------------------------------- failure-frontier notes
 
-/// Farthest-failure tracking shared by every engine (event-emitting and
-/// reference): the error message reports the deepest position reached and
+/// Farthest-failure tracking shared by the event engine and the seed
+/// reference engine: the error message reports the deepest position reached and
 /// the union of token sets that would have allowed progress there.
 pub(crate) struct Notes {
     pub(crate) farthest: usize,
@@ -1296,7 +1080,7 @@ mod tests {
     use super::*;
     use sqlweave_grammar::dsl::{parse_grammar, parse_tokens};
 
-    fn select_parser(mode: EngineMode) -> Parser {
+    fn select_parser() -> Parser {
         let g = parse_grammar(
             r#"
             grammar q;
@@ -1320,12 +1104,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        Parser::new(g, &t).unwrap().with_mode(mode)
+        Parser::new(g, &t).unwrap()
     }
 
     #[test]
     fn backtracking_accepts_and_shapes() {
-        let p = select_parser(EngineMode::Backtracking);
+        let p = select_parser();
         let cst = p.parse("SELECT a, b FROM t WHERE a = 1").unwrap();
         assert_eq!(cst.name(), "query");
         assert_eq!(cst.label(), Some("select"));
@@ -1336,34 +1120,8 @@ mod tests {
     }
 
     #[test]
-    fn ll1_table_accepts_same_inputs() {
-        let p = select_parser(EngineMode::Ll1Table);
-        assert!(p.parse("SELECT * FROM t").is_ok());
-        assert!(p.parse("SELECT DISTINCT a FROM t").is_ok());
-        assert!(p.parse("SELECT a, b, c FROM t WHERE x = y").is_ok());
-    }
-
-    #[test]
-    fn engines_produce_identical_csts() {
-        let bt = select_parser(EngineMode::Backtracking);
-        let ll = select_parser(EngineMode::Ll1Table);
-        for input in [
-            "SELECT a FROM t",
-            "SELECT * FROM t",
-            "SELECT ALL a, b FROM t WHERE a = 9",
-            "SELECT DISTINCT x FROM y WHERE q = r",
-        ] {
-            assert_eq!(
-                bt.parse(input).unwrap(),
-                ll.parse(input).unwrap(),
-                "CSTs differ on {input:?}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_with_expected_set() {
-        let p = select_parser(EngineMode::Backtracking);
+        let p = select_parser();
         let err = p.parse("SELECT a b FROM t").unwrap_err();
         assert_eq!(err.found.as_ref().unwrap().1, "b");
         assert!(
@@ -1374,26 +1132,15 @@ mod tests {
     }
 
     #[test]
-    fn ll1_rejects_with_expected_set() {
-        let p = select_parser(EngineMode::Ll1Table);
-        let err = p.parse("SELECT FROM t").unwrap_err();
-        assert!(
-            err.expected.contains("IDENT") || err.expected.contains("STAR"),
-            "expected: {:?}",
-            err.expected
-        );
-    }
-
-    #[test]
     fn trailing_garbage_rejected() {
-        let p = select_parser(EngineMode::Backtracking);
+        let p = select_parser();
         let err = p.parse("SELECT a FROM t t2").unwrap_err();
         assert_eq!(err.found.as_ref().unwrap().1, "t2");
     }
 
     #[test]
     fn eof_error() {
-        let p = select_parser(EngineMode::Backtracking);
+        let p = select_parser();
         let err = p.parse("SELECT a FROM").unwrap_err();
         assert!(err.found.is_none());
         assert!(err.expected.contains("IDENT"));
@@ -1401,7 +1148,7 @@ mod tests {
 
     #[test]
     fn lexical_error_propagated() {
-        let p = select_parser(EngineMode::Backtracking);
+        let p = select_parser();
         let err = p.parse("SELECT a FROM t WHERE a = #").unwrap_err();
         assert!(err.lexical.is_some());
     }
@@ -1457,7 +1204,7 @@ mod tests {
 
     #[test]
     fn stats_reported() {
-        let p = select_parser(EngineMode::Backtracking);
+        let p = select_parser();
         let s = p.stats();
         assert_eq!(s.productions, 5);
         assert!(s.flat_productions > s.productions);
@@ -1468,7 +1215,7 @@ mod tests {
 
     #[test]
     fn empty_input_rejected_when_not_nullable() {
-        let p = select_parser(EngineMode::Backtracking);
+        let p = select_parser();
         let err = p.parse("").unwrap_err();
         assert!(err.expected.contains("SELECT"));
     }
@@ -1508,20 +1255,6 @@ mod tests {
         assert!(c.contains(5) && c.contains(129));
         c.clear();
         assert_eq!(c.iter_ids().count(), 0);
-    }
-
-    #[test]
-    fn engine_mode_hashes_distinctly() {
-        // The bench parser cache keys on EngineMode directly; a collision
-        // between modes would silently serve the wrong engine.
-        use std::collections::HashSet;
-        let set: HashSet<(&str, EngineMode)> = [
-            ("pico", EngineMode::Backtracking),
-            ("pico", EngineMode::Ll1Table),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(set.len(), 2);
     }
 
     #[test]
@@ -1571,11 +1304,11 @@ mod tests {
         assert_eq!(p.decision_tables(), 1);
         let mut s = p.session();
         assert_eq!(s.parse_tree("X Z").unwrap().to_cst().label(), Some("xz"));
-        let stats = s.stats();
-        assert!(stats.decision_table_hits >= 1, "stats: {stats:?}");
-        assert_eq!(stats.backtracks, 0, "stats: {stats:?}");
+        let counters = s.counters();
+        assert!(counters.decision_hits >= 1, "counters: {counters:?}");
+        assert_eq!(counters.backtracks, 0, "counters: {counters:?}");
         assert_eq!(s.parse_tree("X Y").unwrap().to_cst().label(), Some("xy"));
-        assert_eq!(s.stats().backtracks, 0);
+        assert_eq!(s.counters().backtracks, 0);
     }
 
     #[test]
@@ -1591,9 +1324,9 @@ mod tests {
         assert!(p.decision_tables() >= 1);
         let mut s = p.session();
         assert!(s.parse_tree("A ; A ;").is_ok());
-        let stats = s.stats();
-        assert_eq!(stats.backtracks, 0, "stats: {stats:?}");
-        assert!(stats.decision_table_hits >= 1, "stats: {stats:?}");
+        let counters = s.counters();
+        assert_eq!(counters.backtracks, 0, "counters: {counters:?}");
+        assert!(counters.decision_hits >= 1, "counters: {counters:?}");
     }
 
     #[test]

@@ -142,7 +142,8 @@ pub enum Event {
     /// A nonterminal expansion begins: compiled production `prod` matched
     /// via alternative `alt`.
     Open {
-        /// Compiled production id (engine-mode specific table index).
+        /// Compiled production id (an index into the parser's compiled
+        /// productions).
         prod: u32,
         /// Index of the matched alternative within the production.
         alt: u32,

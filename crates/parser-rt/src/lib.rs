@@ -1,26 +1,22 @@
 //! Parser runtime for `sqlweave` — the from-scratch replacement for the
 //! ANTLR/JavaCC parser generators the paper relies on.
 //!
-//! A [`Parser`] is built from a composed grammar plus its token set and can
-//! run in two engine modes (the ablation of Experiment B4):
+//! A [`Parser`] is built from a composed grammar plus its token set. Its
+//! one engine is a recursive-descent interpreter over the EBNF IR with
+//! FIRST-set pruning, ordered-alternative backtracking (PEG-style
+//! resolution of non-LL(1) spots, like ANTLR's decision engine), compiled
+//! LL(k ≤ 3) dispatch tables at every conflict static lookahead analysis
+//! resolves, and O(1) failure memoization of re-probed nonterminals. Which
+//! conflicts remain after that analysis, per dialect, is what
+//! `sqlweave analyze` reports.
 //!
-//! * [`EngineMode::Backtracking`] — a recursive-descent interpreter over the
-//!   EBNF IR with FIRST-set pruning, ordered-alternative backtracking
-//!   (PEG-style resolution of non-LL(1) spots, like ANTLR's decision
-//!   engine), and O(1) failure memoization of re-probed nonterminals.
-//! * [`EngineMode::Ll1Table`] — a table-driven predictive parser over the
-//!   flattened BNF; requires the grammar to be LL(1) at every decision the
-//!   input exercises (declaration order breaks reported conflicts).
-//!
-//! Both engines emit flat [`events::Event`] streams instead of building
+//! The engine emits flat [`events::Event`] streams instead of building
 //! nodes (backtracking is a buffer truncation), which a separate builder
 //! materializes into an arena-backed [`tree::SyntaxTree`] with zero-copy
 //! token text. The seed [`cst::CstNode`] API survives as a conversion
-//! ([`tree::SyntaxTree::to_cst`]), and both engines still produce
-//! identical parse trees (synthetic nonterminals introduced by flattening
-//! are spliced away). [`session::ParseSession`] recycles every buffer
-//! across statements; [`Parser::parse_many`] and
-//! [`Parser::parse_many_parallel`] batch over it.
+//! ([`tree::SyntaxTree::to_cst`]), and [`Parser::parse_reference`] keeps
+//! the seed engine as a differential oracle. [`session::ParseSession`]
+//! recycles every buffer across the statements of a batch.
 //!
 //! Beyond the strict single-error contract, [`Parser::parse_resilient`]
 //! and [`session::ParseSession::parse_resilient`] run panic-mode error
@@ -43,11 +39,8 @@ pub mod session;
 pub mod tree;
 
 pub use cst::CstNode;
-pub use engine::{EngineMode, Parser, ParserStats, RunCounters};
+pub use engine::{Parser, ParserStats, RunCounters};
 pub use errors::ParseError;
 pub use events::{Event, ERROR_NODE};
-pub use session::{
-    EditError, EditOutcome, EditStats, LazyTree, ParseOutcome, ParseSession, ParsedStats,
-    ResilientStats,
-};
+pub use session::{EditError, EditOutcome, EditStats, LazyTree, ParseOutcome, ParseSession};
 pub use tree::{Sym, SyntaxElement, SyntaxNode, SyntaxToken, SyntaxTree, TokenInterner};

@@ -1,25 +1,24 @@
-//! The seed parse engines, kept verbatim as a differential oracle.
+//! The seed backtracking engine, kept verbatim as a differential oracle.
 //!
-//! Before the green-tree rework, both engines materialized [`CstNode`]s
+//! Before the green-tree rework, the engine materialized [`CstNode`]s
 //! *while* parsing: every token allocated its kind name and lexeme, every
 //! expansion cloned its production name and label, and abandoning a
 //! speculative alternative dropped a fully built subtree. This module
 //! preserves that implementation — same traversal order, same
 //! farthest-failure notes, no memoization — so that:
 //!
-//! * the cross-engine differential suite can assert the event-built
+//! * the differential suite can assert the event-built
 //!   [`crate::tree::SyntaxTree`] converts to the *identical* `CstNode` the
-//!   seed engines produced, for every statement;
-//! * error-message regression tests can prove the memo table and the
-//!   note-recording fast path changed no reported diagnostics;
-//! * the allocation-ablation benchmark (Experiment B4) has an honest
-//!   "before" to measure the event core against.
+//!   seed engine produced, for every statement;
+//! * error-message regression tests can prove the memo table, the
+//!   dispatch tables and the note-recording fast path changed no reported
+//!   diagnostics.
 //!
 //! It is not a supported parsing API; use [`Parser::parse`] or
 //! [`crate::session::ParseSession`].
 
 use crate::cst::CstNode;
-use crate::engine::{CTerm, EngineMode, FTerm, Notes, Parser, NO_ALT};
+use crate::engine::{CTerm, Notes, Parser};
 use crate::errors::ParseError;
 use sqlweave_lexgen::Token;
 use std::collections::BTreeSet;
@@ -47,9 +46,8 @@ impl RefCtx<'_> {
 
 impl Parser {
     /// Parse with the seed (pre-event) implementation: direct per-node CST
-    /// construction, no failure memo. Kept for differential testing and
-    /// the allocation-ablation benchmark; behaviorally identical to
-    /// [`Parser::parse`].
+    /// construction, no failure memo, no dispatch tables. Kept for
+    /// differential testing; behaviorally identical to [`Parser::parse`].
     pub fn parse_reference(&self, input: &str) -> Result<CstNode, ParseError> {
         let toks = self.scanner.scan(input).map_err(|e| ParseError {
             at: e.at,
@@ -67,11 +65,7 @@ impl Parser {
             parser: self,
             notes: Notes::new(self.n_tokens),
         };
-        let result = match self.mode() {
-            EngineMode::Backtracking => self.ref_bt_nt(&mut ctx, self.cstart, 0),
-            EngineMode::Ll1Table => self.ref_ll1_nt(&mut ctx, self.fstart, 0),
-        };
-        match result {
+        match self.ref_bt_nt(&mut ctx, self.cstart, 0) {
             Ok((node, next)) if next == toks.len() => Ok(node),
             Ok((_, next)) => {
                 ctx.notes.note_eof(next);
@@ -80,8 +74,6 @@ impl Parser {
             Err(()) => Err(self.error_from(input, &toks, &ctx.notes)),
         }
     }
-
-    // ---------- seed backtracking engine ----------
 
     fn ref_bt_nt(&self, ctx: &mut RefCtx<'_>, prod: u32, pos: usize) -> Result<(CstNode, usize), ()> {
         let prod = &self.cprods[prod as usize];
@@ -215,66 +207,6 @@ impl Parser {
             }
         }
     }
-
-    // ---------- seed LL(1) table engine ----------
-
-    fn ref_ll1_nt(
-        &self,
-        ctx: &mut RefCtx<'_>,
-        prod: u32,
-        pos: usize,
-    ) -> Result<(CstNode, usize), ()> {
-        let name = self.fprods[prod as usize].name.clone();
-        let (children, next, label) = self.ref_ll1_expand(ctx, prod, pos)?;
-        Ok((CstNode::rule(&name, label, children), next))
-    }
-
-    /// Expand one flat nonterminal, returning its children (used both for
-    /// real rules and for splicing synthetic ones).
-    fn ref_ll1_expand(
-        &self,
-        ctx: &mut RefCtx<'_>,
-        prod: u32,
-        mut pos: usize,
-    ) -> Result<(Vec<CstNode>, usize, Option<String>), ()> {
-        let fprod = &self.fprods[prod as usize];
-        let alt_index = match ctx.kind_ids.get(pos) {
-            Some(&k) => fprod.row[k as usize],
-            None => fprod.eof_alt,
-        };
-        if alt_index == NO_ALT {
-            ctx.notes.note_set(pos, &fprod.expected);
-            return Err(());
-        }
-        let alt = &fprod.alts[alt_index as usize];
-        let mut children = Vec::new();
-        for term in &alt.seq {
-            match term {
-                FTerm::Tok(kind) => match ctx.kind_ids.get(pos) {
-                    Some(k) if k == kind => {
-                        children.push(ctx.token_node(pos));
-                        pos += 1;
-                    }
-                    _ => {
-                        ctx.notes.note_id(pos, *kind);
-                        return Err(());
-                    }
-                },
-                FTerm::Nt { idx, synthetic } => {
-                    if *synthetic {
-                        let (spliced, next, _) = self.ref_ll1_expand(ctx, *idx, pos)?;
-                        children.extend(spliced);
-                        pos = next;
-                    } else {
-                        let (node, next) = self.ref_ll1_nt(ctx, *idx, pos)?;
-                        children.push(node);
-                        pos = next;
-                    }
-                }
-            }
-        }
-        Ok((children, pos, alt.label.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +214,7 @@ mod tests {
     use super::*;
     use sqlweave_grammar::dsl::{parse_grammar, parse_tokens};
 
-    fn parser(mode: EngineMode) -> Parser {
+    fn parser() -> Parser {
         let g = parse_grammar(
             r#"
             grammar q;
@@ -303,38 +235,41 @@ mod tests {
             "#,
         )
         .unwrap();
-        Parser::new(g, &t).unwrap().with_mode(mode)
+        Parser::new(g, &t).unwrap()
     }
 
     #[test]
     fn reference_and_event_engines_agree_on_trees() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = parser(mode);
-            for input in [
-                "SELECT a FROM t",
-                "SELECT DISTINCT a, b, c FROM t",
-                "SELECT * FROM t",
-            ] {
-                assert_eq!(
-                    p.parse(input).unwrap(),
-                    p.parse_reference(input).unwrap(),
-                    "{mode:?} {input:?}"
-                );
-            }
+        let p = parser();
+        for input in [
+            "SELECT a FROM t",
+            "SELECT DISTINCT a, b, c FROM t",
+            "SELECT * FROM t",
+        ] {
+            assert_eq!(
+                p.parse(input).unwrap(),
+                p.parse_reference(input).unwrap(),
+                "{input:?}"
+            );
         }
     }
 
     #[test]
     fn reference_and_event_engines_agree_on_errors() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = parser(mode);
-            for input in ["", "SELECT", "SELECT FROM t", "SELECT a b FROM t", "SELECT a FROM t x", "%"] {
-                assert_eq!(
-                    p.parse(input).unwrap_err(),
-                    p.parse_reference(input).unwrap_err(),
-                    "{mode:?} {input:?}"
-                );
-            }
+        let p = parser();
+        for input in [
+            "",
+            "SELECT",
+            "SELECT FROM t",
+            "SELECT a b FROM t",
+            "SELECT a FROM t x",
+            "%",
+        ] {
+            assert_eq!(
+                p.parse(input).unwrap_err(),
+                p.parse_reference(input).unwrap_err(),
+                "{input:?}"
+            );
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Reusable parse sessions and the batched parse API.
+//! Reusable parse sessions.
 //!
 //! [`ParseSession`] owns every buffer a parse needs — the token vector,
 //! interned kind ids, the event buffer, the failure-memo bitmap, and the
@@ -7,18 +7,15 @@
 //! and parsing allocates nothing, which is the property the grammar-
 //! coverage/fuzzing workloads (millions of small statements) need.
 //! Lexing runs on the scanner's compiled byte-class tables
-//! (`sqlweave_lexgen::compiled`) — the session, [`Parser::parse_many`],
-//! and [`Parser::parse_many_parallel`] all inherit that fast path through
+//! (`sqlweave_lexgen::compiled`) through
 //! [`sqlweave_lexgen::Scanner::scan_into`].
 //!
-//! [`Parser::parse_many`] drives one session over a batch;
-//! [`Parser::parse_many_parallel`] shards a batch over `std::thread`
-//! scoped workers, one session per worker (a [`Parser`] is shareable by
-//! reference across threads).
+//! A batch of statements is one session driven over the batch:
+//! [`ParseSession::parse_tree`] or [`ParseSession::parse_resilient`] per
+//! statement. A [`Parser`] is shareable by reference across threads, so
+//! each thread can hold a session of its own.
 
-use crate::engine::{
-    EngineMode, EvCtx, FailureMemo, Notes, Parser, ParserStats, RunCounters, NO_PROD,
-};
+use crate::engine::{EvCtx, FailureMemo, Notes, Parser, RunCounters, NO_PROD};
 use crate::errors::ParseError;
 use crate::events::{split_elements, ElemKind, Event, TopElem, ERROR_NODE};
 use crate::tree::{Arena, SyntaxTree, TreeBuilder};
@@ -112,11 +109,10 @@ struct IncDoc {
     tok_probes: Vec<(usize, usize)>,
     /// Syntax diagnostics for the whole document, ascending by byte
     /// offset. Shared with [`EditOutcome::errors`] by reference count so a
-    /// document full of diagnostics (the predictive engine's resolved
-    /// conflicts reject some inputs the backtracking engine accepts) is
-    /// delivered per edit without cloning; each edit repairs it in place
-    /// through [`Arc::make_mut`], which is free once the previous outcome
-    /// is dropped.
+    /// document full of diagnostics (a large script with many broken
+    /// statements) is delivered per edit without cloning; each edit
+    /// repairs it in place through [`Arc::make_mut`], which is free once
+    /// the previous outcome is dropped.
     syn: Arc<Vec<ParseError>>,
     /// The document's top-level elements in order, partitioning the token
     /// stream.
@@ -386,8 +382,7 @@ fn lex_to_parse(e: &LexError) -> ParseError {
 /// Only the few diagnostics still on the edit's own last line pay a full
 /// line/column recomputation. This keeps each edit independent of how
 /// many diagnostics the document carries beyond one pass of integer
-/// arithmetic — the predictive engine can hold tens of thousands of
-/// resolved-conflict diagnostics against a large document.
+/// arithmetic, even when a large document holds thousands of them.
 fn repair_suffix_diags(
     syn: &mut [ParseError],
     text: &str,
@@ -477,8 +472,10 @@ fn splice_tok_probes(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, delta: is
 /// nodes couple to the statement they arose in; a bare separator is not a
 /// valid parse start), make sure the element *before* the window is not an
 /// error node (the drive could need to coalesce into it), and take one
-/// clean statement of margin so the drive's statement-boundary retries
-/// resolve inside the window exactly as a full drive would.
+/// more clean statement of margin. No part of the recovery driver is
+/// known to need that margin, but dropping it would shrink every reparse
+/// window, and with it the exact window counts the keystroke gate and the
+/// benchmark report, so it waits for a measured change of its own.
 fn widen_left(chunks: &[Chunk], mut e: usize) -> usize {
     let mut margin = 1;
     loop {
@@ -503,9 +500,8 @@ fn widen_left(chunks: &[Chunk], mut e: usize) -> usize {
 /// first candidate: absorb error nodes unconditionally (error clusters
 /// coalesce and merge diagnostics across element boundaries) plus one
 /// clean statement of margin, and stop *before* the next clean statement
-/// or bare separator — the window then ends on a boundary both engines
-/// treat as end-of-input (a trailing separator would spuriously fail the
-/// predictive engine's strict window parse).
+/// or bare separator — the window then ends where a statement ends, so
+/// its end of input falls on a statement boundary.
 fn widen_right(chunks: &[Chunk], mut e: usize) -> usize {
     let mut margin = 1;
     while e < chunks.len() {
@@ -626,28 +622,15 @@ impl<'p> ParseSession<'p> {
     }
 
     /// Cumulative failure-memo hits across all parses of this session
-    /// (backtracking engine only; each hit is a whole nonterminal
-    /// re-derivation skipped).
+    /// (each hit is a whole nonterminal re-derivation skipped).
     pub fn memo_hits(&self) -> u64 {
         self.memo.hits()
     }
 
-    /// Cumulative backtracking-engine counters (dispatch hits, speculative
-    /// probes, truncations) across all parses of this session.
+    /// Cumulative engine counters (dispatch hits, speculative probes,
+    /// truncations, recoveries) across all parses of this session.
     pub fn counters(&self) -> RunCounters {
         self.counters
-    }
-
-    /// Static parser metrics with this session's dynamic counters filled in.
-    pub fn stats(&self) -> ParserStats {
-        let mut s = self.parser.stats();
-        s.decision_table_hits = self.counters.decision_hits;
-        s.alt_attempts = self.counters.alt_attempts;
-        s.backtracks = self.counters.backtracks;
-        s.failure_memo_hits = self.memo.hits();
-        s.error_recoveries = self.counters.recoveries;
-        s.recovery_skipped_tokens = self.counters.skipped_tokens;
-        s
     }
 
     /// Parse one statement into a [`SyntaxTree`] view borrowing this
@@ -698,10 +681,8 @@ impl<'p> ParseSession<'p> {
         let n = hi - lo;
         self.events.clear();
         self.notes.reset();
-        if parser.mode() == EngineMode::Backtracking {
-            self.memo.reset(parser.cprods.len(), n + 1);
-        }
-        let use_tables = parser.mode() == EngineMode::Backtracking && parser.tables_active();
+        self.memo.reset(parser.cprods.len(), n + 1);
+        let use_tables = parser.tables_active();
         let mut result = parser.run_events(&mut EvCtx {
             kind_ids: &self.kind_ids[lo..hi],
             events: &mut self.events,
@@ -751,7 +732,6 @@ impl<'p> ParseSession<'p> {
         errors: &mut Vec<ParseError>,
     ) -> DriveResult {
         let parser = self.parser;
-        let mode = parser.mode();
         let counters_mark = self.counters;
         let errors_mark = errors.len();
 
@@ -812,39 +792,17 @@ impl<'p> ParseSession<'p> {
             let diag = parser.error_from_with(input, &self.toks[pos..], &self.notes, index);
             let fail_prod = self.notes.at_prod;
 
-            // How far did this attempt commit? The backtracking skeleton
-            // accepts a statement prefix directly (`Ok(next)` short of the
-            // input); the predictive engine fails hard instead, so retry
-            // the parse cut at the last statement boundary before the
-            // failure — both engines then agree on the segmentation.
-            let mut good = pos;
-            match result {
+            // How far did this attempt commit? The script skeleton accepts
+            // a statement prefix directly (`Ok(next)` short of the input):
+            // splice it and recover from its end.
+            let good = match result {
                 Ok(next) if next > 0 => {
                     splice_chunk(&mut self.revents, &self.events, pos, &mut root);
-                    good = pos + next;
                     last_is_error = false;
+                    pos + next
                 }
-                _ => {
-                    let boundary = (pos + 1..=fail_abs)
-                        .rev()
-                        .find(|&b| parser.is_sync_token(self.kind_ids[b - 1]));
-                    if let Some(b) = boundary {
-                        // Retry with the separator included, then without:
-                        // the predictive engine's LL(1) table commits the
-                        // trailing `SEMI` to the repetition (expecting
-                        // another statement), so `stmt SEMI` only parses
-                        // with the separator cut off.
-                        for cut in [b, b - 1] {
-                            if cut > pos && self.run_strict(pos, cut) == Ok(cut - pos) {
-                                splice_chunk(&mut self.revents, &self.events, pos, &mut root);
-                                good = cut;
-                                last_is_error = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
+                _ => pos,
+            };
 
             let is_merge = good == pos && prev_resume == Some(pos) && !prev_was_sync;
             if !is_merge {
@@ -857,7 +815,7 @@ impl<'p> ParseSession<'p> {
             // statement) or a token in FOLLOW of the production that owned
             // the failure (left in place for the resumed parse).
             let follow = (fail_prod != NO_PROD)
-                .then(|| parser.follow_bits(mode, fail_prod))
+                .then(|| parser.follow_bits(fail_prod))
                 .flatten();
             let mut resume = hi;
             let mut was_sync = false;
@@ -1509,182 +1467,12 @@ impl<'p> ParseSession<'p> {
     }
 }
 
-/// Size measurements of one accepted statement in a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParsedStats {
-    /// Scanned (non-skip) tokens.
-    pub tokens: usize,
-    /// Tree nodes in the seed counting convention (rules + token leaves).
-    pub nodes: usize,
-}
-
-/// Size measurements and diagnostics of one resiliently parsed statement
-/// in a batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResilientStats {
-    /// Scanned (non-skip) tokens covered by the tree.
-    pub tokens: usize,
-    /// Tree nodes in the seed counting convention (rules + token leaves).
-    pub nodes: usize,
-    /// Diagnostics recovered past, in source order.
-    pub errors: Vec<ParseError>,
-}
-
-/// Render a panic payload for diagnostics.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_string()
-    }
-}
-
-/// The lexical-style [`ParseError`] a crashed batch worker's inputs
-/// report instead of aborting the whole batch.
-fn worker_panic_error(msg: &str) -> ParseError {
-    ParseError {
-        at: 0,
-        line: 1,
-        column: 1,
-        expected: BTreeSet::new(),
-        found: None,
-        lexical: Some(format!("internal error: batch worker panicked: {msg}")),
-    }
-}
-
-/// Shard `inputs` over `threads` scoped workers, each running `work` on
-/// its chunk. A panicking worker is caught (instead of poisoning the
-/// whole batch via `join().expect(..)`) and its shard's results are
-/// synthesized by `on_panic`; every other shard's results survive.
-/// Results are returned flattened in input order.
-pub(crate) fn run_sharded<T: Send>(
-    inputs: &[&str],
-    threads: usize,
-    work: impl Fn(&[&str]) -> Vec<T> + Sync,
-    on_panic: impl Fn(&[&str], &str) -> Vec<T>,
-) -> Vec<T> {
-    let chunk = inputs.len().div_ceil(threads);
-    let work = &work;
-    let mut results: Vec<Vec<T>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(shard)))
-                })
-            })
-            .collect();
-        for (h, shard) in handles.into_iter().zip(inputs.chunks(chunk)) {
-            let out = match h.join() {
-                Ok(Ok(v)) => v,
-                Ok(Err(payload)) => on_panic(shard, &panic_message(payload.as_ref())),
-                Err(payload) => on_panic(shard, &panic_message(payload.as_ref())),
-            };
-            results.push(out);
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
-impl Parser {
-    /// Parse a batch of statements with one recycled session, returning
-    /// per-statement outcomes in input order.
-    pub fn parse_many(&self, inputs: &[&str]) -> Vec<Result<ParsedStats, ParseError>> {
-        let mut session = self.session();
-        inputs
-            .iter()
-            .map(|input| {
-                session.parse_tree(input).map(|tree| ParsedStats {
-                    tokens: tree.tokens().len(),
-                    nodes: tree.node_count(),
-                })
-            })
-            .collect()
-    }
-
-    /// Resiliently parse a batch of statements with one recycled session
-    /// (see [`ParseSession::parse_resilient`]), returning per-statement
-    /// measurements and diagnostics in input order.
-    pub fn parse_many_resilient(&self, inputs: &[&str]) -> Vec<ResilientStats> {
-        let mut session = self.session();
-        inputs
-            .iter()
-            .map(|input| {
-                let outcome = session.parse_resilient(input);
-                ResilientStats {
-                    tokens: outcome.tree.tokens().len(),
-                    nodes: outcome.tree.node_count(),
-                    errors: outcome.errors,
-                }
-            })
-            .collect()
-    }
-
-    /// Parse a batch across `threads` scoped worker threads (each with its
-    /// own recycled session), returning outcomes in input order. Falls
-    /// back to the sequential driver for trivial thread counts or batches.
-    /// A worker that panics no longer aborts the whole batch: its shard's
-    /// statements report a lexical-style internal error and every other
-    /// shard's results are returned normally.
-    pub fn parse_many_parallel(
-        &self,
-        inputs: &[&str],
-        threads: usize,
-    ) -> Vec<Result<ParsedStats, ParseError>> {
-        let threads = threads.min(inputs.len());
-        if threads <= 1 {
-            return self.parse_many(inputs);
-        }
-        run_sharded(
-            inputs,
-            threads,
-            |shard| self.parse_many(shard),
-            |shard, msg| {
-                let err = worker_panic_error(msg);
-                shard.iter().map(|_| Err(err.clone())).collect()
-            },
-        )
-    }
-
-    /// [`Parser::parse_many_resilient`] sharded across `threads` scoped
-    /// workers, with the same panic containment as
-    /// [`Parser::parse_many_parallel`].
-    pub fn parse_many_parallel_resilient(
-        &self,
-        inputs: &[&str],
-        threads: usize,
-    ) -> Vec<ResilientStats> {
-        let threads = threads.min(inputs.len());
-        if threads <= 1 {
-            return self.parse_many_resilient(inputs);
-        }
-        run_sharded(
-            inputs,
-            threads,
-            |shard| self.parse_many_resilient(shard),
-            |shard, msg| {
-                shard
-                    .iter()
-                    .map(|_| ResilientStats {
-                        tokens: 0,
-                        nodes: 0,
-                        errors: vec![worker_panic_error(msg)],
-                    })
-                    .collect()
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sqlweave_grammar::dsl::{parse_grammar, parse_tokens};
 
-    fn parser(mode: EngineMode) -> Parser {
+    fn parser() -> Parser {
         let g = parse_grammar(
             r#"
             grammar q;
@@ -1705,12 +1493,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        Parser::new(g, &t).unwrap().with_mode(mode)
+        Parser::new(g, &t).unwrap()
     }
 
     #[test]
     fn session_recycles_across_statements() {
-        let p = parser(EngineMode::Backtracking);
+        let p = parser();
         let mut s = p.session();
         for input in ["SELECT a FROM t", "SELECT * FROM u", "SELECT a, b FROM t WHERE a = b"] {
             let tree = s.parse_tree(input).unwrap();
@@ -1720,38 +1508,6 @@ mod tests {
         // errors don't poison the session
         assert!(s.parse_tree("SELECT FROM t").is_err());
         assert!(s.parse_tree("SELECT a FROM t").is_ok());
-    }
-
-    #[test]
-    fn parse_many_reports_per_statement_outcomes() {
-        let p = parser(EngineMode::Backtracking);
-        let out = p.parse_many(&["SELECT a FROM t", "SELECT FROM", "SELECT * FROM u"]);
-        assert_eq!(out.len(), 3);
-        let first = out[0].as_ref().unwrap();
-        assert_eq!(first.tokens, 4);
-        assert_eq!(first.nodes, p.parse("SELECT a FROM t").unwrap().node_count());
-        assert!(out[1].is_err());
-        assert!(out[2].is_ok());
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let p = parser(EngineMode::Ll1Table);
-        let inputs: Vec<String> = (0..97)
-            .map(|i| {
-                if i % 7 == 0 {
-                    "SELECT FROM t".to_string() // rejected
-                } else {
-                    format!("SELECT a{i}, b FROM t{i}")
-                }
-            })
-            .collect();
-        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        let seq = p.parse_many(&refs);
-        for threads in [1, 2, 3, 8, 200] {
-            let par = p.parse_many_parallel(&refs, threads);
-            assert_eq!(seq, par, "threads={threads}");
-        }
     }
 
     #[test]
@@ -1780,16 +1536,9 @@ mod tests {
         assert_eq!(fast.to_string(), seed.to_string());
     }
 
-    #[test]
-    fn empty_batch() {
-        let p = parser(EngineMode::Backtracking);
-        assert!(p.parse_many(&[]).is_empty());
-        assert!(p.parse_many_parallel(&[], 4).is_empty());
-    }
-
     /// A statement-script grammar (the shape every composed dialect
     /// shares), for recovery tests: sync set = {SEMI, $}.
-    fn script_parser(mode: EngineMode) -> Parser {
+    fn script_parser() -> Parser {
         let g = parse_grammar(
             r#"
             grammar s;
@@ -1811,7 +1560,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        Parser::new(g, &t).unwrap().with_mode(mode)
+        Parser::new(g, &t).unwrap()
     }
 
     /// Count how many times each token index appears in the tree.
@@ -1831,76 +1580,76 @@ mod tests {
 
     #[test]
     fn resilient_parse_matches_strict_on_clean_input() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let mut inputs = vec![
-                "SELECT a FROM t",
-                "SELECT a FROM t; SELECT * FROM u",
-                "SELECT a, b FROM t WHERE a = b; SELECT c FROM v",
-            ];
-            if mode == EngineMode::Backtracking {
-                // The LL(1) table resolves the trailing-SEMI conflict in
-                // favor of the repetition, so only the backtracking engine
-                // accepts a trailing semicolon strictly.
-                inputs.push("SELECT a FROM t; SELECT c FROM v;");
-            }
-            for input in inputs {
-                let strict = p.parse(input).unwrap();
-                let outcome = s.parse_resilient(input);
-                assert!(outcome.errors.is_empty(), "{mode:?} on {input:?}");
-                assert_eq!(outcome.tree.to_cst(), strict, "{mode:?} on {input:?}");
-            }
+        let p = script_parser();
+        let mut s = p.session();
+        for input in [
+            "SELECT a FROM t",
+            "SELECT a FROM t; SELECT * FROM u",
+            "SELECT a, b FROM t WHERE a = b; SELECT c FROM v",
+            "SELECT a FROM t; SELECT c FROM v;",
+        ] {
+            let strict = p.parse(input).unwrap();
+            let outcome = s.parse_resilient(input);
+            assert!(outcome.errors.is_empty(), "{input:?}");
+            assert_eq!(outcome.tree.to_cst(), strict, "{input:?}");
         }
     }
 
     #[test]
     fn resilient_parse_recovers_one_error_per_bad_statement() {
         let input = "SELECT a FROM t; SELECT FROM u; SELECT b FROM v; WHERE; SELECT c FROM w";
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let outcome = s.parse_resilient(input);
-            assert_eq!(outcome.errors.len(), 2, "{mode:?}: {:?}", outcome.errors);
-            // Errors are ordered and point into the bad statements.
-            assert!(outcome.errors[0].at < outcome.errors[1].at);
-            // Every scanned token appears exactly once in the tree.
-            assert!(token_coverage(&outcome.tree).iter().all(|&c| c == 1), "{mode:?}");
-            // The good statements really parsed (error nodes are named
-            // "error"; the rest keep their productions).
-            let names: Vec<&str> =
-                outcome.tree.root().children().filter_map(|e| e.as_node().map(|n| n.name())).collect();
-            assert_eq!(names.iter().filter(|n| **n == "error").count(), 2, "{names:?}");
-            assert_eq!(names.iter().filter(|n| **n == "query").count(), 3, "{names:?}");
-        }
+        let p = script_parser();
+        let mut s = p.session();
+        let outcome = s.parse_resilient(input);
+        assert_eq!(outcome.errors.len(), 2, "{:?}", outcome.errors);
+        // Errors are ordered and point into the bad statements.
+        assert!(outcome.errors[0].at < outcome.errors[1].at);
+        // Every scanned token appears exactly once in the tree.
+        assert!(token_coverage(&outcome.tree).iter().all(|&c| c == 1));
+        // The good statements really parsed (error nodes are named
+        // "error"; the rest keep their productions).
+        let names: Vec<&str> = outcome
+            .tree
+            .root()
+            .children()
+            .filter_map(|e| e.as_node().map(|n| n.name()))
+            .collect();
+        assert_eq!(
+            names.iter().filter(|n| **n == "error").count(),
+            2,
+            "{names:?}"
+        );
+        assert_eq!(
+            names.iter().filter(|n| **n == "query").count(),
+            3,
+            "{names:?}"
+        );
     }
 
     #[test]
     fn resilient_first_error_matches_strict_error() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            for input in [
-                "SELECT FROM t",
-                "SELECT a FROM t; SELECT FROM u",
-                "SELECT a FROM t WHERE",
-                "",
-            ] {
-                let strict = p.parse(input).unwrap_err();
-                let outcome = s.parse_resilient(input);
-                assert!(!outcome.errors.is_empty(), "{mode:?} on {input:?}");
-                assert_eq!(
-                    outcome.errors[0].to_string(),
-                    strict.to_string(),
-                    "{mode:?} on {input:?}"
-                );
-            }
+        let p = script_parser();
+        let mut s = p.session();
+        for input in [
+            "SELECT FROM t",
+            "SELECT a FROM t; SELECT FROM u",
+            "SELECT a FROM t WHERE",
+            "",
+        ] {
+            let strict = p.parse(input).unwrap_err();
+            let outcome = s.parse_resilient(input);
+            assert!(!outcome.errors.is_empty(), "{input:?}");
+            assert_eq!(
+                outcome.errors[0].to_string(),
+                strict.to_string(),
+                "{input:?}"
+            );
         }
     }
 
     #[test]
     fn resilient_parse_collects_lexical_and_syntax_errors() {
-        let p = script_parser(EngineMode::Backtracking);
+        let p = script_parser();
         let mut s = p.session();
         // The `?` is a lexical error; skipping it leaves statement 1
         // well-formed, so statement 2 contributes the only syntax error.
@@ -1918,99 +1667,33 @@ mod tests {
 
     #[test]
     fn resilient_parse_survives_garbage_and_covers_all_tokens() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            for input in [
-                "; ; ;",
-                "FROM FROM FROM",
-                "SELECT",
-                "= = ; = =",
-                "SELECT a FROM", // truncated
-            ] {
-                let outcome = s.parse_resilient(input);
-                assert!(!outcome.errors.is_empty(), "{mode:?} on {input:?}");
-                assert!(
-                    token_coverage(&outcome.tree).iter().all(|&c| c == 1),
-                    "{mode:?} on {input:?}"
-                );
-            }
+        let p = script_parser();
+        let mut s = p.session();
+        for input in [
+            "; ; ;",
+            "FROM FROM FROM",
+            "SELECT",
+            "= = ; = =",
+            "SELECT a FROM", // truncated
+        ] {
+            let outcome = s.parse_resilient(input);
+            assert!(!outcome.errors.is_empty(), "{input:?}");
+            assert!(
+                token_coverage(&outcome.tree).iter().all(|&c| c == 1),
+                "{input:?}"
+            );
         }
     }
 
     #[test]
-    fn resilient_counters_surface_through_stats() {
-        let p = script_parser(EngineMode::Backtracking);
+    fn resilient_parses_count_recoveries_and_skipped_tokens() {
+        let p = script_parser();
         let mut s = p.session();
         let outcome = s.parse_resilient("SELECT a FROM t; SELECT FROM u; SELECT b FROM v");
         assert_eq!(outcome.errors.len(), 1);
-        let stats = s.stats();
-        assert_eq!(stats.error_recoveries, 1);
-        assert!(stats.recovery_skipped_tokens >= 2, "{stats:?}");
-    }
-
-    #[test]
-    fn parse_many_resilient_matches_single_statement_outcomes() {
-        let p = script_parser(EngineMode::Backtracking);
-        let out = p.parse_many_resilient(&[
-            "SELECT a FROM t",
-            "SELECT FROM u",
-            "SELECT b, c FROM v",
-        ]);
-        assert_eq!(out.len(), 3);
-        assert!(out[0].errors.is_empty());
-        assert_eq!(out[1].errors.len(), 1);
-        assert!(out[2].errors.is_empty());
-        assert_eq!(out[0].tokens, 4);
-        let par = p.parse_many_parallel_resilient(
-            &["SELECT a FROM t", "SELECT FROM u", "SELECT b, c FROM v"],
-            2,
-        );
-        assert_eq!(out, par);
-    }
-
-    #[test]
-    fn sharded_batches_survive_a_panicking_worker() {
-        // A hostile input guard that panics on a marker input, simulating
-        // a worker crash mid-shard.
-        let inputs: Vec<String> = (0..16)
-            .map(|i| if i == 5 { "PANIC".to_string() } else { format!("in{i}") })
-            .collect();
-        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        let out = run_sharded(
-            &refs,
-            4,
-            |shard| {
-                shard
-                    .iter()
-                    .map(|s| {
-                        assert!(*s != "PANIC", "hostile input rejected by guard");
-                        Ok::<String, String>(s.to_uppercase())
-                    })
-                    .collect()
-            },
-            |shard, msg| shard.iter().map(|_| Err(msg.to_string())).collect(),
-        );
-        assert_eq!(out.len(), 16);
-        // The panicking shard (inputs 4..8) reports the panic message;
-        // every other shard's results survive.
-        for (i, r) in out.iter().enumerate() {
-            if (4..8).contains(&i) {
-                let msg = r.as_ref().unwrap_err();
-                assert!(msg.contains("hostile input rejected"), "{msg}");
-            } else {
-                assert_eq!(r.as_ref().unwrap(), &format!("IN{i}"));
-            }
-        }
-    }
-
-    #[test]
-    fn worker_panic_error_is_lexical_style() {
-        let e = worker_panic_error("boom");
-        assert_eq!(
-            e.to_string(),
-            "internal error: batch worker panicked: boom"
-        );
+        let counters = s.counters();
+        assert_eq!(counters.recoveries, 1);
+        assert!(counters.skipped_tokens >= 2, "{counters:?}");
     }
 
     // ---------- incremental editing ----------
@@ -2043,32 +1726,30 @@ mod tests {
 
     #[test]
     fn open_document_matches_parse_resilient() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            for text in [
-                "SELECT a FROM t; SELECT * FROM u",
-                "SELECT FROM t; SELECT b FROM v",
-                "",
-                "; ; ;",
-            ] {
-                let inc = {
-                    let mut o = s.open_document(text);
-                    let errs: Vec<String> = o.errors.iter().map(|e| e.to_string()).collect();
-                    assert!(o.stats.full_reparse);
-                    (o.tree.get().to_cst(), errs)
-                };
-                assert!(s.edit_stats().full_reparse);
-                let full = snapshot(&oracle.parse_resilient(text));
-                assert_eq!(inc, full, "{mode:?} on {text:?}");
-            }
+        let p = script_parser();
+        let mut s = p.session();
+        let mut oracle = p.session();
+        for text in [
+            "SELECT a FROM t; SELECT * FROM u",
+            "SELECT FROM t; SELECT b FROM v",
+            "",
+            "; ; ;",
+        ] {
+            let inc = {
+                let mut o = s.open_document(text);
+                let errs: Vec<String> = o.errors.iter().map(|e| e.to_string()).collect();
+                assert!(o.stats.full_reparse);
+                (o.tree.get().to_cst(), errs)
+            };
+            assert!(s.edit_stats().full_reparse);
+            let full = snapshot(&oracle.parse_resilient(text));
+            assert_eq!(inc, full, "{text:?}");
         }
     }
 
     #[test]
     fn try_api_reports_structured_errors_and_preserves_the_document() {
-        let p = script_parser(EngineMode::Backtracking);
+        let p = script_parser();
         let mut s = p.session();
         assert_eq!(s.try_document().unwrap_err(), EditError::NoDocument);
         assert_eq!(s.try_edit_stats().unwrap_err(), EditError::NoDocument);
@@ -2094,7 +1775,7 @@ mod tests {
 
     #[test]
     fn non_char_boundary_edits_are_rejected_not_panicking() {
-        let p = script_parser(EngineMode::Backtracking);
+        let p = script_parser();
         let mut s = p.session();
         s.open_document("SELECT a FROM t; SELECT é FROM u");
         let at = s.document().find('é').unwrap();
@@ -2109,46 +1790,44 @@ mod tests {
 
     #[test]
     fn lazy_outcome_defers_and_caches_tree_materialization() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            s.open_document("SELECT a FROM t; SELECT FROM u; SELECT b FROM v");
-            // Several keystrokes reading only diagnostics — the tree is
-            // never materialized in between.
-            let at = s.document().find("FROM u").unwrap();
-            let o = s.apply_edit(at..at, "x ");
-            assert_eq!(o.errors.len(), 0);
-            let end = s.document().len();
-            let o = s.apply_edit(end..end, "; SELECT");
-            assert_eq!(o.errors.len(), 1);
-            // The next read still matches a full reparse, and so does a
-            // second read with no edit between.
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} lazy catch-up"));
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} cached reread"));
-            // Per-edit diagnostics equal the from-scratch diagnostics of
-            // the edited text at every step.
-            let at = s.document().find("x FROM u").unwrap();
-            let errs: Vec<String> = s
-                .apply_edit(at..at + 1, "")
-                .errors
-                .iter()
-                .map(|e| e.to_string())
-                .collect();
-            let text = s.document().to_string();
-            let full: Vec<String> = oracle
-                .parse_resilient(&text)
-                .errors
-                .iter()
-                .map(|e| e.to_string())
-                .collect();
-            assert_eq!(errs, full, "{mode:?} eager diagnostics");
-        }
+        let p = script_parser();
+        let mut s = p.session();
+        let mut oracle = p.session();
+        s.open_document("SELECT a FROM t; SELECT FROM u; SELECT b FROM v");
+        // Several keystrokes reading only diagnostics — the tree is
+        // never materialized in between.
+        let at = s.document().find("FROM u").unwrap();
+        let o = s.apply_edit(at..at, "x ");
+        assert_eq!(o.errors.len(), 0);
+        let end = s.document().len();
+        let o = s.apply_edit(end..end, "; SELECT");
+        assert_eq!(o.errors.len(), 1);
+        // The next read still matches a full reparse, and so does a
+        // second read with no edit between.
+        assert_incremental_identity(&mut s, &mut oracle, "lazy catch-up");
+        assert_incremental_identity(&mut s, &mut oracle, "cached reread");
+        // Per-edit diagnostics equal the from-scratch diagnostics of
+        // the edited text at every step.
+        let at = s.document().find("x FROM u").unwrap();
+        let errs: Vec<String> = s
+            .apply_edit(at..at + 1, "")
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect();
+        let text = s.document().to_string();
+        let full: Vec<String> = oracle
+            .parse_resilient(&text)
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect();
+        assert_eq!(errs, full, "eager diagnostics");
     }
 
     #[test]
     fn standalone_parses_between_edits_invalidate_the_cached_tree() {
-        let p = script_parser(EngineMode::Backtracking);
+        let p = script_parser();
         let mut s = p.session();
         let mut oracle = p.session();
         s.open_document("SELECT a FROM t; SELECT b FROM u");
@@ -2188,67 +1867,61 @@ mod tests {
                 .map(Arena::addr)
                 .collect()
         }
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            let stmts: Vec<String> = (0..48).map(|i| format!("SELECT c{i} FROM t{i}")).collect();
-            s.open_document(&stmts.join("; "));
-            let doc_rules = s
-                .try_document_outcome()
-                .expect("document open")
-                .tree
-                .rule_count();
+        let p = script_parser();
+        let mut s = p.session();
+        let mut oracle = p.session();
+        let stmts: Vec<String> = (0..48).map(|i| format!("SELECT c{i} FROM t{i}")).collect();
+        s.open_document(&stmts.join("; "));
+        let doc_rules = s
+            .try_document_outcome()
+            .expect("document open")
+            .tree
+            .rule_count();
 
-            // a single-identifier edit, read twice
-            let before = addrs(&s);
-            let at = s.document().find("c20").expect("statement 20");
-            let n0 = nodes_built();
-            let (edit_and_read, reread) = {
-                let mut o = s.apply_edit(at..at + 3, "zz");
-                let _ = o.tree.get();
-                let n1 = nodes_built();
-                let _ = o.tree.get();
-                (n1 - n0, nodes_built() - n1)
-            };
-            let window = fresh_nodes(&s, &before);
-            assert!(
-                edit_and_read <= window,
-                "{mode:?}: built {edit_and_read}, window {window}"
-            );
-            assert!(
-                window > 0 && window * 8 < doc_rules,
-                "{mode:?}: window {window} of {doc_rules}"
-            );
-            assert_eq!(reread, 0, "{mode:?}: second read");
+        // a single-identifier edit, read twice
+        let before = addrs(&s);
+        let at = s.document().find("c20").expect("statement 20");
+        let n0 = nodes_built();
+        let (edit_and_read, reread) = {
+            let mut o = s.apply_edit(at..at + 3, "zz");
+            let _ = o.tree.get();
+            let n1 = nodes_built();
+            let _ = o.tree.get();
+            (n1 - n0, nodes_built() - n1)
+        };
+        let window = fresh_nodes(&s, &before);
+        assert!(
+            edit_and_read <= window,
+            "built {edit_and_read}, window {window}"
+        );
+        assert!(
+            window > 0 && window * 8 < doc_rules,
+            "window {window} of {doc_rules}"
+        );
+        assert_eq!(reread, 0, "second read");
 
-            // a whitespace-only edit keeps every arena
-            let at = s.document().find("; SELECT c30").expect("statement 30") + 1;
-            let n0 = nodes_built();
-            let st = {
-                let mut o = s.apply_edit(at..at, "  ");
-                let _ = o.tree.get();
-                o.stats
-            };
-            assert_eq!(st.relexed_tokens, 0, "{mode:?}: {st:?}");
-            assert_eq!(
-                nodes_built() - n0,
-                0,
-                "{mode:?}: read after a whitespace edit"
-            );
+        // a whitespace-only edit keeps every arena
+        let at = s.document().find("; SELECT c30").expect("statement 30") + 1;
+        let n0 = nodes_built();
+        let st = {
+            let mut o = s.apply_edit(at..at, "  ");
+            let _ = o.tree.get();
+            o.stats
+        };
+        assert_eq!(st.relexed_tokens, 0, "{st:?}");
+        assert_eq!(nodes_built() - n0, 0, "read after a whitespace edit");
 
-            // a standalone parse does not touch the document's arenas
-            let _ = s.parse_tree("SELECT a FROM t");
-            let n0 = nodes_built();
-            let _ = s.try_document_outcome().expect("document open");
-            assert_eq!(nodes_built() - n0, 0, "{mode:?}: read after parse_tree");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} after reads"));
-        }
+        // a standalone parse does not touch the document's arenas
+        let _ = s.parse_tree("SELECT a FROM t");
+        let n0 = nodes_built();
+        let _ = s.try_document_outcome().expect("document open");
+        assert_eq!(nodes_built() - n0, 0, "read after parse_tree");
+        assert_incremental_identity(&mut s, &mut oracle, "after reads");
     }
 
     #[test]
     fn whitespace_edit_skips_the_parser() {
-        let p = script_parser(EngineMode::Backtracking);
+        let p = script_parser();
         let mut s = p.session();
         let mut oracle = p.session();
         s.open_document("SELECT a FROM t;  SELECT b FROM u");
@@ -2263,7 +1936,7 @@ mod tests {
 
     #[test]
     fn single_token_edit_reparses_a_window_not_the_document() {
-        let p = script_parser(EngineMode::Backtracking);
+        let p = script_parser();
         let mut s = p.session();
         let mut oracle = p.session();
         let stmts: Vec<String> = (0..40).map(|i| format!("SELECT c{i} FROM t{i}")).collect();
@@ -2282,58 +1955,54 @@ mod tests {
 
     #[test]
     fn edits_in_and_around_error_regions_stay_identical() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            s.open_document("SELECT a FROM t; SELECT FROM u; SELECT b FROM v");
-            // repair the broken middle statement
-            let at = s.document().find("FROM u").unwrap();
-            s.apply_edit(at..at, "x ");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} repair"));
-            // break it again, differently
-            let at = s.document().find("x FROM u").unwrap();
-            s.apply_edit(at..at + 1, "WHERE");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} re-break"));
-        }
+        let p = script_parser();
+        let mut s = p.session();
+        let mut oracle = p.session();
+        s.open_document("SELECT a FROM t; SELECT FROM u; SELECT b FROM v");
+        // repair the broken middle statement
+        let at = s.document().find("FROM u").unwrap();
+        s.apply_edit(at..at, "x ");
+        assert_incremental_identity(&mut s, &mut oracle, "repair");
+        // break it again, differently
+        let at = s.document().find("x FROM u").unwrap();
+        s.apply_edit(at..at + 1, "WHERE");
+        assert_incremental_identity(&mut s, &mut oracle, "re-break");
     }
 
     #[test]
     fn structural_edits_at_statement_boundaries_stay_identical() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            s.open_document("SELECT a FROM t; SELECT b FROM u; SELECT c FROM v");
-            // delete a separator: two statements merge (and break)
-            let semi = s.document().find(';').unwrap();
-            s.apply_edit(semi..semi + 1, "");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} merge"));
-            // re-split
-            let at = s.document().find(" SELECT b").unwrap();
-            s.apply_edit(at..at, ";");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} split"));
-            // delete a span crossing a statement boundary
-            let lo = s.document().find("FROM u").unwrap();
-            let hi = s.document().find("c FROM v").unwrap();
-            s.apply_edit(lo..hi, "");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} cross-cut"));
-            // edits at the very ends
-            let end = s.document().len();
-            s.apply_edit(end..end, "; SELECT z FROM w");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} append"));
-            s.apply_edit(0..0, "SELECT q FROM r; ");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} prepend"));
-            // delete everything
-            let end = s.document().len();
-            s.apply_edit(0..end, "");
-            assert_incremental_identity(&mut s, &mut oracle, &format!("{mode:?} clear"));
-        }
+        let p = script_parser();
+        let mut s = p.session();
+        let mut oracle = p.session();
+        s.open_document("SELECT a FROM t; SELECT b FROM u; SELECT c FROM v");
+        // delete a separator: two statements merge (and break)
+        let semi = s.document().find(';').unwrap();
+        s.apply_edit(semi..semi + 1, "");
+        assert_incremental_identity(&mut s, &mut oracle, "merge");
+        // re-split
+        let at = s.document().find(" SELECT b").unwrap();
+        s.apply_edit(at..at, ";");
+        assert_incremental_identity(&mut s, &mut oracle, "split");
+        // delete a span crossing a statement boundary
+        let lo = s.document().find("FROM u").unwrap();
+        let hi = s.document().find("c FROM v").unwrap();
+        s.apply_edit(lo..hi, "");
+        assert_incremental_identity(&mut s, &mut oracle, "cross-cut");
+        // edits at the very ends
+        let end = s.document().len();
+        s.apply_edit(end..end, "; SELECT z FROM w");
+        assert_incremental_identity(&mut s, &mut oracle, "append");
+        s.apply_edit(0..0, "SELECT q FROM r; ");
+        assert_incremental_identity(&mut s, &mut oracle, "prepend");
+        // delete everything
+        let end = s.document().len();
+        s.apply_edit(0..end, "");
+        assert_incremental_identity(&mut s, &mut oracle, "clear");
     }
 
     #[test]
     fn lexical_errors_rebase_across_edits() {
-        let p = script_parser(EngineMode::Backtracking);
+        let p = script_parser();
         let mut s = p.session();
         let mut oracle = p.session();
         s.open_document("SELECT a ? FROM t; SELECT b FROM u");
@@ -2387,34 +2056,32 @@ mod tests {
             "*",
             "é",
         ];
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = script_parser(mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            let mut rng = XorShift(0x5eed_0000 + mode as u64 + 1);
-            s.open_document("SELECT a FROM t; SELECT b, c FROM u WHERE b = c; SELECT * FROM v");
-            for step in 0..120 {
-                let text = s.document();
-                let len = text.len();
-                let mut lo = rng.below(len + 1);
-                let mut hi = (lo + rng.below(9).pow(2)).min(len);
-                while !text.is_char_boundary(lo) {
-                    lo -= 1;
-                }
-                while !text.is_char_boundary(hi) {
-                    hi -= 1;
-                }
-                if hi < lo {
-                    std::mem::swap(&mut lo, &mut hi);
-                }
-                let rep = SNIPPETS[rng.below(SNIPPETS.len())];
-                s.apply_edit(lo..hi, rep);
-                assert_incremental_identity(
-                    &mut s,
-                    &mut oracle,
-                    &format!("{mode:?} step {step}: {lo}..{hi} := {rep:?}"),
-                );
+        let p = script_parser();
+        let mut s = p.session();
+        let mut oracle = p.session();
+        let mut rng = XorShift(0x5eed_0001);
+        s.open_document("SELECT a FROM t; SELECT b, c FROM u WHERE b = c; SELECT * FROM v");
+        for step in 0..120 {
+            let text = s.document();
+            let len = text.len();
+            let mut lo = rng.below(len + 1);
+            let mut hi = (lo + rng.below(9).pow(2)).min(len);
+            while !text.is_char_boundary(lo) {
+                lo -= 1;
             }
+            while !text.is_char_boundary(hi) {
+                hi -= 1;
+            }
+            if hi < lo {
+                std::mem::swap(&mut lo, &mut hi);
+            }
+            let rep = SNIPPETS[rng.below(SNIPPETS.len())];
+            s.apply_edit(lo..hi, rep);
+            assert_incremental_identity(
+                &mut s,
+                &mut oracle,
+                &format!("step {step}: {lo}..{hi} := {rep:?}"),
+            );
         }
     }
 }

@@ -22,7 +22,7 @@
 //! reproduces the seed CST shape exactly.
 
 use crate::cst::CstNode;
-use crate::engine::{EngineMode, Parser};
+use crate::engine::Parser;
 use crate::events::Event;
 use sqlweave_lexgen::Token;
 use std::fmt;
@@ -160,7 +160,6 @@ impl Arena {
 /// produced it.
 pub struct SyntaxTree<'a> {
     parser: &'a Parser,
-    mode: EngineMode,
     input: &'a str,
     toks: &'a [Token],
     /// `(prod, alt)` of the root, whose children are the chunks' top-level
@@ -183,7 +182,6 @@ impl<'a> SyntaxTree<'a> {
         debug_assert_eq!(chunks.len(), tok_lo.len());
         SyntaxTree {
             parser,
-            mode: parser.mode(),
             input,
             toks,
             root,
@@ -436,15 +434,13 @@ impl<'a, 't> SyntaxNode<'a, 't> {
 
     /// Production name.
     pub fn name(&self) -> &'a str {
-        self.tree
-            .parser
-            .prod_name(self.tree.mode, self.prod_alt().0)
+        self.tree.parser.prod_name(self.prod_alt().0)
     }
 
     /// Label of the alternative that matched, if any.
     pub fn label(&self) -> Option<&'a str> {
         let (prod, alt) = self.prod_alt();
-        self.tree.parser.alt_label(self.tree.mode, prod, alt)
+        self.tree.parser.alt_label(prod, alt)
     }
 
     /// Child elements in input order.
@@ -549,8 +545,8 @@ impl<'a, 't> SyntaxNode<'a, 't> {
         }
         let (prod, alt) = self.prod_alt();
         CstNode::Rule {
-            name: tree.parser.prod_name(tree.mode, prod).to_string(),
-            label: tree.parser.alt_label(tree.mode, prod, alt).map(str::to_string),
+            name: tree.parser.prod_name(prod).to_string(),
+            label: tree.parser.alt_label(prod, alt).map(str::to_string),
             children,
         }
     }
@@ -601,10 +597,9 @@ impl<'a, 't> SyntaxToken<'a, 't> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineMode;
     use sqlweave_grammar::dsl::{parse_grammar, parse_tokens};
 
-    fn parser(mode: EngineMode) -> Parser {
+    fn parser() -> Parser {
         let g = parse_grammar(
             r#"
             grammar q;
@@ -624,12 +619,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        Parser::new(g, &t).unwrap().with_mode(mode)
+        Parser::new(g, &t).unwrap()
     }
 
     #[test]
     fn tree_navigation_matches_cst() {
-        let p = parser(EngineMode::Backtracking);
+        let p = parser();
         let mut s = p.session();
         let tree = s.parse_tree("SELECT a, b FROM t").unwrap();
         let root = tree.root();
@@ -648,19 +643,21 @@ mod tests {
 
     #[test]
     fn to_cst_matches_seed_shape() {
-        for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-            let p = parser(mode);
-            for input in ["SELECT a, b FROM t", "SELECT * FROM t"] {
-                let mut s = p.session();
-                let tree = s.parse_tree(input).unwrap();
-                assert_eq!(tree.to_cst(), p.parse_reference(input).unwrap(), "{mode:?} {input:?}");
-            }
+        let p = parser();
+        for input in ["SELECT a, b FROM t", "SELECT * FROM t"] {
+            let mut s = p.session();
+            let tree = s.parse_tree(input).unwrap();
+            assert_eq!(
+                tree.to_cst(),
+                p.parse_reference(input).unwrap(),
+                "{input:?}"
+            );
         }
     }
 
     #[test]
     fn pretty_matches_cst_pretty() {
-        let p = parser(EngineMode::Backtracking);
+        let p = parser();
         let mut s = p.session();
         let tree = s.parse_tree("SELECT a, b FROM t").unwrap();
         assert_eq!(tree.pretty(), tree.to_cst().pretty());
@@ -668,7 +665,7 @@ mod tests {
 
     #[test]
     fn node_count_matches_cst() {
-        let p = parser(EngineMode::Backtracking);
+        let p = parser();
         let mut s = p.session();
         let tree = s.parse_tree("SELECT a, b FROM t").unwrap();
         assert_eq!(tree.node_count(), tree.to_cst().node_count());
@@ -693,7 +690,7 @@ mod tests {
 
     #[test]
     fn intern_tokens_is_parallel_to_the_token_stream() {
-        let p = parser(EngineMode::Backtracking);
+        let p = parser();
         let mut s = p.session();
         let tree = s.parse_tree("SELECT a, b, a FROM a").unwrap();
         let mut interner = TokenInterner::new();

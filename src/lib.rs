@@ -44,7 +44,7 @@ pub use sqlweave_sql_features as sql;
 pub mod prelude {
     pub use crate::dialects::Dialect;
     pub use crate::feature_model::{Configuration, FeatureModel, ModelBuilder};
-    pub use crate::parser_rt::engine::{EngineMode, Parser};
+    pub use crate::parser_rt::engine::Parser;
     pub use crate::sql_ast::Statement;
 }
 

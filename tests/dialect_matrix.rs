@@ -8,14 +8,13 @@
 
 use sqlweave_bench::{corpus, parser, rejection_witness};
 use sqlweave::dialects::Dialect;
-use sqlweave::parser_rt::engine::EngineMode;
 
 #[test]
 fn acceptance_matrix() {
     // rows: dialects; columns: corpora. Print the acceptance counts.
     println!("{:<10} {}", "dialect", Dialect::ALL.map(|d| format!("{:>10}", d.name())).join(""));
     for row in Dialect::ALL {
-        let p = parser(row, EngineMode::Backtracking);
+        let p = parser(row);
         let mut cells = String::new();
         for col in Dialect::ALL {
             let stmts = corpus(col);
@@ -27,7 +26,7 @@ fn acceptance_matrix() {
 
     // Own corpus fully accepted.
     for d in Dialect::ALL {
-        let p = parser(d, EngineMode::Backtracking);
+        let p = parser(d);
         for stmt in corpus(d) {
             assert!(p.parse(stmt).is_ok(), "{} rejected {stmt:?}", d.name());
         }
@@ -36,7 +35,7 @@ fn acceptance_matrix() {
 
 #[test]
 fn full_dialect_subsumes_all_corpora() {
-    let full = parser(Dialect::Full, EngineMode::Backtracking);
+    let full = parser(Dialect::Full);
     for d in Dialect::ALL {
         for stmt in corpus(d) {
             assert!(
@@ -52,7 +51,7 @@ fn full_dialect_subsumes_all_corpora() {
 fn boundaries_are_enforced() {
     for d in Dialect::ALL {
         if let Some(witness) = rejection_witness(d) {
-            let p = parser(d, EngineMode::Backtracking);
+            let p = parser(d);
             assert!(
                 p.parse(witness).is_err(),
                 "{} must reject {witness:?} (unselected feature)",
@@ -60,11 +59,18 @@ fn boundaries_are_enforced() {
             );
             // …and the full dialect accepts the same statement.
             assert!(
-                parser(Dialect::Full, EngineMode::Backtracking).parse(witness).is_ok(),
+                parser(Dialect::Full).parse(witness).is_ok(),
                 "full must accept {witness:?}"
             );
         }
     }
+}
+
+#[test]
+fn pico_rejects_out_of_dialect_statements() {
+    let p = parser(Dialect::Pico);
+    assert!(p.parse("SELECT a FROM t ORDER BY a").is_err());
+    assert!(p.parse("INSERT INTO t VALUES (1)").is_err());
 }
 
 #[test]

@@ -5,11 +5,10 @@
 use sqlweave_bench::{corpus, generated, parser};
 use sqlweave::baseline;
 use sqlweave::dialects::Dialect;
-use sqlweave::parser_rt::engine::EngineMode;
 use sqlweave::sql_ast::lower;
 
 fn composed_ast(stmt: &str) -> sqlweave::sql_ast::Statement {
-    let p = parser(Dialect::Full, EngineMode::Backtracking);
+    let p = parser(Dialect::Full);
     let cst = p.parse(stmt).unwrap_or_else(|e| panic!("composed parse {stmt:?}: {e}"));
     let stmts = lower::lower_script(&cst).unwrap_or_else(|e| panic!("lower {stmt:?}: {e}"));
     assert_eq!(stmts.len(), 1);
@@ -41,7 +40,7 @@ fn generated_workloads_agree() {
             // scripts can contain several statements — compare lists
             let b = baseline::parse_script(&stmt)
                 .unwrap_or_else(|e| panic!("baseline parse {stmt:?}: {e}"));
-            let p = parser(Dialect::Full, EngineMode::Backtracking);
+            let p = parser(Dialect::Full);
             let cst = p
                 .parse(&stmt)
                 .unwrap_or_else(|e| panic!("composed parse {stmt:?}: {e}"));
@@ -66,7 +65,7 @@ fn printed_asts_reparse_identically_in_baseline() {
 
 #[test]
 fn both_reject_malformed_statements() {
-    let p = parser(Dialect::Full, EngineMode::Backtracking);
+    let p = parser(Dialect::Full);
     for bad in [
         "SELECT FROM t",
         "SELECT a FROM",

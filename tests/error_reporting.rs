@@ -4,11 +4,10 @@
 
 use sqlweave_bench::parser;
 use sqlweave::dialects::Dialect;
-use sqlweave::parser_rt::engine::EngineMode;
 
 #[test]
 fn positions_are_line_and_column_accurate() {
-    let p = parser(Dialect::Core, EngineMode::Backtracking);
+    let p = parser(Dialect::Core);
     let err = p
         .parse("SELECT a\nFROM t\nWHERE a = = 1")
         .unwrap_err();
@@ -19,7 +18,7 @@ fn positions_are_line_and_column_accurate() {
 
 #[test]
 fn expected_sets_reflect_grammar_position() {
-    let p = parser(Dialect::Core, EngineMode::Backtracking);
+    let p = parser(Dialect::Core);
     // after a complete select-sublist, the legal continuations include
     // COMMA (more columns) and FROM
     let err = p.parse("SELECT a b c FROM t").unwrap_err();
@@ -29,7 +28,7 @@ fn expected_sets_reflect_grammar_position() {
 
 #[test]
 fn lexical_errors_are_distinguished() {
-    let p = parser(Dialect::Core, EngineMode::Backtracking);
+    let p = parser(Dialect::Core);
     let err = p.parse("SELECT a FROM t WHERE a = $1").unwrap_err();
     assert!(err.lexical.is_some(), "{err}");
     assert!(err.to_string().contains("'$'"), "{err}");
@@ -37,7 +36,7 @@ fn lexical_errors_are_distinguished() {
 
 #[test]
 fn unterminated_string_is_a_lexical_error() {
-    let p = parser(Dialect::Core, EngineMode::Backtracking);
+    let p = parser(Dialect::Core);
     let err = p.parse("SELECT a FROM t WHERE s = 'oops").unwrap_err();
     assert!(err.lexical.is_some(), "{err}");
 }
@@ -46,7 +45,7 @@ fn unterminated_string_is_a_lexical_error() {
 fn expected_sets_exclude_unselected_features() {
     // In pico (no set_quantifier), the error after SELECT must NOT suggest
     // DISTINCT; in full it may.
-    let pico = parser(Dialect::Pico, EngineMode::Backtracking);
+    let pico = parser(Dialect::Pico);
     let err = pico.parse("SELECT FROM t").unwrap_err();
     assert!(
         !err.expected.contains("DISTINCT"),
@@ -54,7 +53,7 @@ fn expected_sets_exclude_unselected_features() {
     );
     assert!(err.expected.contains("IDENT"), "{err}");
 
-    let full = parser(Dialect::Full, EngineMode::Backtracking);
+    let full = parser(Dialect::Full);
     let err = full.parse("SELECT FROM t").unwrap_err();
     assert!(err.expected.contains("DISTINCT"), "{err}");
 }
@@ -63,10 +62,10 @@ fn expected_sets_exclude_unselected_features() {
 fn keywords_of_unselected_features_lex_as_identifiers() {
     // `epoch` is a keyword only when the sensor features are selected: in
     // pico it is a perfectly good column name.
-    let pico = parser(Dialect::Pico, EngineMode::Backtracking);
+    let pico = parser(Dialect::Pico);
     assert!(pico.parse("SELECT epoch FROM t").is_ok());
     // In tiny it is reserved, so the same statement fails.
-    let tiny = parser(Dialect::Tiny, EngineMode::Backtracking);
+    let tiny = parser(Dialect::Tiny);
     assert!(tiny.parse("SELECT epoch FROM t").is_err());
 }
 
@@ -74,7 +73,7 @@ fn keywords_of_unselected_features_lex_as_identifiers() {
 fn farthest_failure_wins_over_earlier_alternatives() {
     // The parser must report the deepest failure point, not the first
     // alternative that failed.
-    let p = parser(Dialect::Core, EngineMode::Backtracking);
+    let p = parser(Dialect::Core);
     let err = p
         .parse("SELECT a FROM t WHERE a IN (1, 2, )")
         .unwrap_err();
@@ -84,7 +83,7 @@ fn farthest_failure_wins_over_earlier_alternatives() {
 
 #[test]
 fn eof_errors_name_the_missing_piece() {
-    let p = parser(Dialect::Core, EngineMode::Backtracking);
+    let p = parser(Dialect::Core);
     let err = p.parse("SELECT a FROM t WHERE").unwrap_err();
     assert!(err.found.is_none());
     assert!(
@@ -95,7 +94,7 @@ fn eof_errors_name_the_missing_piece() {
 
 #[test]
 fn multiline_scripts_report_correct_statement() {
-    let p = parser(Dialect::Full, EngineMode::Backtracking);
+    let p = parser(Dialect::Full);
     let err = p
         .parse("SELECT a FROM t;\nDELETE FROM;\nCOMMIT;")
         .unwrap_err();

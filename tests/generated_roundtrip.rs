@@ -7,14 +7,13 @@ use sqlweave_bench::{generated, parser};
 use sqlweave::dialects::Dialect;
 use sqlweave::feature_model::count::enumerate_configurations;
 use sqlweave::feature_model::{Configuration, GroupKind, ModelBuilder};
-use sqlweave::parser_rt::engine::EngineMode;
 use sqlweave::sql::catalog;
 use sqlweave::sql_ast::{lower, print};
 
 #[test]
 fn every_dialect_parses_its_generated_sentences() {
     for d in Dialect::ALL {
-        let p = parser(d, EngineMode::Backtracking);
+        let p = parser(d);
         for s in generated(d, 0xfeed, 100, 10) {
             if let Err(e) = p.parse(&s) {
                 panic!("{} rejected its own sentence {s:?}: {e}", d.name());
@@ -25,7 +24,7 @@ fn every_dialect_parses_its_generated_sentences() {
 
 #[test]
 fn full_dialect_generated_sentences_roundtrip_through_ast() {
-    let p = parser(Dialect::Full, EngineMode::Backtracking);
+    let p = parser(Dialect::Full);
     for s in generated(Dialect::Full, 0xabcd, 200, 9) {
         let cst = p.parse(&s).unwrap_or_else(|e| panic!("parse {s:?}: {e}"));
         let stmts = lower::lower_script(&cst).unwrap_or_else(|e| panic!("lower {s:?}: {e}"));

@@ -1,18 +1,15 @@
 //! Incremental relex + reparse differential: `ParseSession::apply_edit`
 //! must be observationally identical to a from-scratch `parse_resilient`
 //! of the edited text — same CST, same rendered diagnostics, full token
-//! coverage — across all dialects × both engines, over golden single
-//! edits (mid-keyword, token-merging, comment-interior, statement-
-//! boundary-spanning) and random edit scripts.
+//! coverage — across all dialects, over golden single edits (mid-keyword,
+//! token-merging, comment-interior, statement-boundary-spanning) and
+//! random edit scripts.
 
 use proptest::prelude::*;
 use sqlweave::dialects::Dialect;
 use sqlweave::lexgen::Token;
-use sqlweave::parser_rt::engine::EngineMode;
 use sqlweave::parser_rt::{CstNode, ParseSession, SyntaxElement, SyntaxNode, SyntaxTree};
 use sqlweave_bench::{corpus, parser};
-
-const MODES: [EngineMode; 2] = [EngineMode::Backtracking, EngineMode::Ll1Table];
 
 /// How many times each scanned token index appears in the tree.
 fn token_coverage(tree: &SyntaxTree<'_>) -> Vec<usize> {
@@ -113,34 +110,32 @@ fn check_diagnostics(
     assert_eq!(errs, full, "diagnostics diverged: {ctx}\ntext: {text:?}");
 }
 
-/// Golden single-edit cases on every dialect × engine.
+/// Golden single-edit cases on every dialect.
 #[test]
 fn golden_single_edits_match_full_reparse() {
     for d in Dialect::ALL {
-        for mode in MODES {
-            let p = parser(d, mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            let ctx = |what: &str| format!("{} {mode:?} {what}", d.name());
+        let p = parser(d);
+        let mut s = p.session();
+        let mut oracle = p.session();
+        let ctx = |what: &str| format!("{} {what}", d.name());
 
-            // mid-keyword edit: split FROM in two
-            let text = base_script(d);
-            s.open_document(&text);
-            let at = text.find("FROM").expect("corpus has FROM") + 2;
-            check_edit(&mut s, &mut oracle, at, at, " ", &ctx("mid-keyword split"));
+        // mid-keyword edit: split FROM in two
+        let text = base_script(d);
+        s.open_document(&text);
+        let at = text.find("FROM").expect("corpus has FROM") + 2;
+        check_edit(&mut s, &mut oracle, at, at, " ", &ctx("mid-keyword split"));
 
-            // token-merge edit: delete the whitespace before FROM so the
-            // preceding token and `FROM` fuse into one identifier
-            let text = base_script(d);
-            s.open_document(&text);
-            let at = text.find(" FROM").expect("corpus has FROM");
-            check_edit(&mut s, &mut oracle, at, at + 1, "", &ctx("token merge"));
+        // token-merge edit: delete the whitespace before FROM so the
+        // preceding token and `FROM` fuse into one identifier
+        let text = base_script(d);
+        s.open_document(&text);
+        let at = text.find(" FROM").expect("corpus has FROM");
+        check_edit(&mut s, &mut oracle, at, at + 1, "", &ctx("token merge"));
 
-            // edit inside a block comment: token-preserving
-            let text = format!("/* a comment */ {}", base_script(d));
-            s.open_document(&text);
-            check_edit(&mut s, &mut oracle, 5, 6, "X Y Z", &ctx("comment interior"));
-        }
+        // edit inside a block comment: token-preserving
+        let text = format!("/* a comment */ {}", base_script(d));
+        s.open_document(&text);
+        check_edit(&mut s, &mut oracle, 5, 6, "X Y Z", &ctx("comment interior"));
     }
 }
 
@@ -148,7 +143,7 @@ fn golden_single_edits_match_full_reparse() {
 #[test]
 fn comment_edit_is_token_preserving() {
     for d in Dialect::ALL {
-        let p = parser(d, EngineMode::Backtracking);
+        let p = parser(d);
         let mut s = p.session();
         let mut oracle = p.session();
         let text = format!("/* a comment */ {}", base_script(d));
@@ -166,17 +161,22 @@ fn comment_edit_is_token_preserving() {
 #[test]
 fn statement_boundary_spanning_edit_matches() {
     for d in Dialect::ALL {
-        for mode in MODES {
-            let p = parser(d, mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            let text = base_script(d);
-            s.open_document(&text);
-            let semi = text.find(';').expect("multi-statement script");
-            let lo = semi.saturating_sub(3);
-            let hi = (semi + 4).min(text.len());
-            check_edit(&mut s, &mut oracle, lo, hi, " ", &format!("{} {mode:?} cross-boundary", d.name()));
-        }
+        let p = parser(d);
+        let mut s = p.session();
+        let mut oracle = p.session();
+        let text = base_script(d);
+        s.open_document(&text);
+        let semi = text.find(';').expect("multi-statement script");
+        let lo = semi.saturating_sub(3);
+        let hi = (semi + 4).min(text.len());
+        check_edit(
+            &mut s,
+            &mut oracle,
+            lo,
+            hi,
+            " ",
+            &format!("{} cross-boundary", d.name()),
+        );
     }
 }
 
@@ -185,7 +185,7 @@ fn statement_boundary_spanning_edit_matches() {
 #[test]
 fn single_token_edit_reparses_locally() {
     let d = Dialect::Core;
-    let p = parser(d, EngineMode::Backtracking);
+    let p = parser(d);
     let mut s = p.session();
     let mut oracle = p.session();
     let stmts = corpus(d);
@@ -204,40 +204,30 @@ fn single_token_edit_reparses_locally() {
     // 256 KiB generated script (36,100 tokens). The counts are exact on
     // every host. Each bound is at most 25 % above the count measured when
     // it was set (at most 1 relexed token, resync within 49 bytes, reparse
-    // window median/max 28/70 tokens on backtracking and 31/101 on
-    // ll1_table), so a repair that widens toward whole-document work fails.
+    // window median/max 28/70 tokens), so a repair that widens toward
+    // whole-document work fails.
     let script = corpus::generate_script(d, 0xED17, 256 * 1024);
-    let bounds = [
-        (EngineMode::Backtracking, 35, 87),
-        (EngineMode::Ll1Table, 38, 126),
-    ];
-    for (mode, median_bound, max_bound) in bounds {
-        let mut s = parser(d, mode).session();
-        s.open_document(&script);
-        let mut rng = XorShift(0x1c00_0000_0000_0001 ^ script.len() as u64);
-        let mut windows = Vec::new();
-        for edit in 0..32 {
-            let bytes = s.document().as_bytes();
-            let pos = (0..10_000)
-                .map(|_| rng.below(bytes.len()))
-                .find(|&q| bytes[q].is_ascii_lowercase())
-                .expect("generated script contains identifier characters");
-            let rep = if bytes[pos] == b'x' { "y" } else { "x" };
-            let st = s.apply_edit(pos..pos + 1, rep).stats;
-            let ctx = format!("{mode:?} edit {edit} at {pos}: {st:?}");
-            assert!(!st.full_reparse, "{ctx}");
-            assert!(st.relexed_tokens <= 1, "{ctx}");
-            assert!(st.resync_bytes <= 61, "{ctx}");
-            assert!(st.reparsed_tokens <= max_bound, "{ctx}");
-            windows.push(st.reparsed_tokens);
-        }
-        windows.sort_unstable();
-        let median = windows[windows.len() / 2];
-        assert!(
-            median <= median_bound,
-            "{mode:?} reparse windows: {windows:?}"
-        );
+    s.open_document(&script);
+    let mut rng = XorShift(0x1c00_0000_0000_0001 ^ script.len() as u64);
+    let mut windows = Vec::new();
+    for edit in 0..32 {
+        let bytes = s.document().as_bytes();
+        let pos = (0..10_000)
+            .map(|_| rng.below(bytes.len()))
+            .find(|&q| bytes[q].is_ascii_lowercase())
+            .expect("generated script contains identifier characters");
+        let rep = if bytes[pos] == b'x' { "y" } else { "x" };
+        let st = s.apply_edit(pos..pos + 1, rep).stats;
+        let ctx = format!("edit {edit} at {pos}: {st:?}");
+        assert!(!st.full_reparse, "{ctx}");
+        assert!(st.relexed_tokens <= 1, "{ctx}");
+        assert!(st.resync_bytes <= 61, "{ctx}");
+        assert!(st.reparsed_tokens <= 87, "{ctx}");
+        windows.push(st.reparsed_tokens);
     }
+    windows.sort_unstable();
+    let median = windows[windows.len() / 2];
+    assert!(median <= 35, "reparse windows: {windows:?}");
 }
 
 /// Boundary edits: empty documents, edits at byte 0 and at `len`,
@@ -246,40 +236,41 @@ fn single_token_edit_reparses_locally() {
 #[test]
 fn boundary_edits_match_full_reparse() {
     for d in Dialect::ALL {
-        for mode in MODES {
-            let p = parser(d, mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            let ctx = |what: &str| format!("{} {mode:?} {what}", d.name());
+        let p = parser(d);
+        let mut s = p.session();
+        let mut oracle = p.session();
+        let ctx = |what: &str| format!("{} {what}", d.name());
 
-            // empty document: zero-length edit, then grow from nothing
-            s.open_document("");
-            check_edit(&mut s, &mut oracle, 0, 0, "", &ctx("empty no-op"));
-            let stmt = corpus(d)[0];
-            check_edit(&mut s, &mut oracle, 0, 0, stmt, &ctx("insert into empty"));
+        // empty document: zero-length edit, then grow from nothing
+        s.open_document("");
+        check_edit(&mut s, &mut oracle, 0, 0, "", &ctx("empty no-op"));
+        let stmt = corpus(d)[0];
+        check_edit(&mut s, &mut oracle, 0, 0, stmt, &ctx("insert into empty"));
 
-            // edit at byte 0 and at len
-            let text = base_script(d);
-            s.open_document(&text);
-            check_edit(&mut s, &mut oracle, 0, 0, "X", &ctx("insert at 0"));
-            let end = s.document().len();
-            check_edit(&mut s, &mut oracle, end, end, " Y", &ctx("insert at len"));
-            check_edit(&mut s, &mut oracle, 0, 1, "", &ctx("delete at 0"));
-            let end = s.document().len();
-            check_edit(&mut s, &mut oracle, end - 1, end, "", &ctx("delete at len"));
+        // edit at byte 0 and at len
+        let text = base_script(d);
+        s.open_document(&text);
+        check_edit(&mut s, &mut oracle, 0, 0, "X", &ctx("insert at 0"));
+        let end = s.document().len();
+        check_edit(&mut s, &mut oracle, end, end, " Y", &ctx("insert at len"));
+        check_edit(&mut s, &mut oracle, 0, 1, "", &ctx("delete at 0"));
+        let end = s.document().len();
+        check_edit(&mut s, &mut oracle, end - 1, end, "", &ctx("delete at len"));
 
-            // zero-length delete mid-document (a no-op edit)
-            let mid = s.document().len() / 2;
-            let mid = (0..=mid).rev().find(|&i| s.document().is_char_boundary(i)).unwrap();
-            check_edit(&mut s, &mut oracle, mid, mid, "", &ctx("zero-length mid"));
+        // zero-length delete mid-document (a no-op edit)
+        let mid = s.document().len() / 2;
+        let mid = (0..=mid)
+            .rev()
+            .find(|&i| s.document().is_char_boundary(i))
+            .unwrap();
+        check_edit(&mut s, &mut oracle, mid, mid, "", &ctx("zero-length mid"));
 
-            // whole-document replacement, then delete everything
-            let end = s.document().len();
-            let next = base_script(d);
-            check_edit(&mut s, &mut oracle, 0, end, &next, &ctx("replace all"));
-            let end = s.document().len();
-            check_edit(&mut s, &mut oracle, 0, end, "", &ctx("delete all"));
-        }
+        // whole-document replacement, then delete everything
+        let end = s.document().len();
+        let next = base_script(d);
+        check_edit(&mut s, &mut oracle, 0, end, &next, &ctx("replace all"));
+        let end = s.document().len();
+        check_edit(&mut s, &mut oracle, 0, end, "", &ctx("delete all"));
     }
 }
 
@@ -287,31 +278,49 @@ fn boundary_edits_match_full_reparse() {
 /// replacing multi-byte chars keep spans, diagnostics, and trees exact.
 #[test]
 fn multibyte_edits_around_damage_region_match() {
-    for mode in MODES {
-        let d = Dialect::Core;
-        let p = parser(d, mode);
-        let mut s = p.session();
-        let mut oracle = p.session();
-        let ctx = |what: &str| format!("{mode:?} {what}");
+    let d = Dialect::Core;
+    let p = parser(d);
+    let mut s = p.session();
+    let mut oracle = p.session();
 
-        // é (2 bytes), 中文 (3+3), 🦀 (4) — inside string literals where
-        // the dialect lexes them, plus a bare lexical-error scalar.
-        let text = "SELECT '🦀 中文' FROM t; SELECT é FROM u; SELECT 'x' FROM v";
-        s.open_document(text);
-        // replace the 4-byte scalar inside the literal
-        let crab = s.document().find('🦀').unwrap();
-        check_edit(&mut s, &mut oracle, crab, crab + 4, "zz", &ctx("replace 4-byte"));
-        // insert a multi-byte scalar right at a token boundary
-        let quote = s.document().find('\'').unwrap();
-        check_edit(&mut s, &mut oracle, quote, quote, "中", &ctx("insert 3-byte at token edge"));
-        // delete a span that straddles the lexical-error scalar
-        let e_acc = s.document().find('é').unwrap();
-        let hi = (e_acc + 2).min(s.document().len());
-        check_edit(&mut s, &mut oracle, e_acc, hi, "🦀", &ctx("swap 2-byte error for 4-byte"));
-        // and shrink it back to a single ascii byte
-        let crab = s.document().find('🦀').unwrap();
-        check_edit(&mut s, &mut oracle, crab, crab + 4, "w", &ctx("shrink 4-byte to ascii"));
-    }
+    // é (2 bytes), 中文 (3+3), 🦀 (4) — inside string literals where
+    // the dialect lexes them, plus a bare lexical-error scalar.
+    let text = "SELECT '🦀 中文' FROM t; SELECT é FROM u; SELECT 'x' FROM v";
+    s.open_document(text);
+    // replace the 4-byte scalar inside the literal
+    let crab = s.document().find('🦀').unwrap();
+    check_edit(&mut s, &mut oracle, crab, crab + 4, "zz", "replace 4-byte");
+    // insert a multi-byte scalar right at a token boundary
+    let quote = s.document().find('\'').unwrap();
+    check_edit(
+        &mut s,
+        &mut oracle,
+        quote,
+        quote,
+        "中",
+        "insert 3-byte at token edge",
+    );
+    // delete a span that straddles the lexical-error scalar
+    let e_acc = s.document().find('é').unwrap();
+    let hi = (e_acc + 2).min(s.document().len());
+    check_edit(
+        &mut s,
+        &mut oracle,
+        e_acc,
+        hi,
+        "🦀",
+        "swap 2-byte error for 4-byte",
+    );
+    // and shrink it back to a single ascii byte
+    let crab = s.document().find('🦀').unwrap();
+    check_edit(
+        &mut s,
+        &mut oracle,
+        crab,
+        crab + 4,
+        "w",
+        "shrink 4-byte to ascii",
+    );
 }
 
 /// A same-length token-preserving splice that adds a newline (replacing a
@@ -321,26 +330,28 @@ fn multibyte_edits_around_damage_region_match() {
 #[test]
 fn token_preserving_newline_edit_repositions_later_diagnostics() {
     for d in Dialect::ALL {
-        for mode in MODES {
-            let p = parser(d, mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            let text = format!("/* a */\nFROM FROM;\n{}", base_script(d));
-            s.open_document(&text);
-            let at = text.find('a').unwrap();
-            check_edit(
-                &mut s,
-                &mut oracle,
-                at,
-                at + 1,
-                "\n",
-                &format!("{} {mode:?} newline-in-comment", d.name()),
-            );
-            let st = s.edit_stats();
-            assert_eq!(st.relexed_tokens, 0, "{} {mode:?}: {st:?}", d.name());
-            let o = s.try_document_outcome().expect("document open");
-            assert!(!o.errors.is_empty(), "{} {mode:?}: scenario needs diagnostics", d.name());
-        }
+        let p = parser(d);
+        let mut s = p.session();
+        let mut oracle = p.session();
+        let text = format!("/* a */\nFROM FROM;\n{}", base_script(d));
+        s.open_document(&text);
+        let at = text.find('a').unwrap();
+        check_edit(
+            &mut s,
+            &mut oracle,
+            at,
+            at + 1,
+            "\n",
+            &format!("{} newline-in-comment", d.name()),
+        );
+        let st = s.edit_stats();
+        assert_eq!(st.relexed_tokens, 0, "{} {st:?}", d.name());
+        let o = s.try_document_outcome().expect("document open");
+        assert!(
+            !o.errors.is_empty(),
+            "{} scenario needs diagnostics",
+            d.name()
+        );
     }
 }
 
@@ -350,35 +361,36 @@ fn token_preserving_newline_edit_repositions_later_diagnostics() {
 #[test]
 fn same_length_multibyte_edit_shifts_same_line_columns() {
     for d in Dialect::ALL {
-        for mode in MODES {
-            let p = parser(d, mode);
-            let mut s = p.session();
-            let mut oracle = p.session();
-            let text = format!("/* é */ FROM FROM;\n{}", base_script(d));
-            s.open_document(&text);
-            let at = text.find('é').unwrap();
-            check_edit(
-                &mut s,
-                &mut oracle,
-                at,
-                at + 'é'.len_utf8(),
-                "xy",
-                &format!("{} {mode:?} multibyte same-length", d.name()),
-            );
-            let o = s.try_document_outcome().expect("document open");
-            assert!(!o.errors.is_empty(), "{} {mode:?}: scenario needs diagnostics", d.name());
-        }
+        let p = parser(d);
+        let mut s = p.session();
+        let mut oracle = p.session();
+        let text = format!("/* é */ FROM FROM;\n{}", base_script(d));
+        s.open_document(&text);
+        let at = text.find('é').unwrap();
+        check_edit(
+            &mut s,
+            &mut oracle,
+            at,
+            at + 'é'.len_utf8(),
+            "xy",
+            &format!("{} multibyte same-length", d.name()),
+        );
+        let o = s.try_document_outcome().expect("document open");
+        assert!(
+            !o.errors.is_empty(),
+            "{} scenario needs diagnostics",
+            d.name()
+        );
     }
 }
 
 /// Outcomes on a lexically clean document share the session's maintained
 /// diagnostic list by reference count instead of cloning it: delivery is
-/// O(1) no matter how many diagnostics the document carries (the
-/// predictive engine can hold thousands against a large script).
+/// O(1) no matter how many diagnostics the document carries.
 #[test]
 fn outcomes_share_the_maintained_diagnostic_list() {
     let d = Dialect::Core;
-    let p = parser(d, EngineMode::Ll1Table);
+    let p = parser(d);
     let mut s = p.session();
     let text = format!("FROM FROM;\n{}", base_script(d));
     s.open_document(&text);
@@ -400,7 +412,7 @@ fn outcomes_share_the_maintained_diagnostic_list() {
 #[test]
 fn diagnostics_stay_exact_without_materializing_trees() {
     let d = Dialect::Core;
-    let p = parser(d, EngineMode::Backtracking);
+    let p = parser(d);
     let mut s = p.session();
     let mut oracle = p.session();
     s.open_document(&base_script(d));
@@ -479,7 +491,7 @@ fn random_edit(rng: &mut XorShift, text: &str) -> (usize, usize, &'static str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random edit scripts across every dialect × engine: after each of
+    /// Random edit scripts across every dialect: after each of
     /// 8 edits the incremental diagnostics match a from-scratch resilient
     /// parse byte for byte, and on seeded steps (always the last) so do
     /// the tree, its node count and its tokens. Steps that skip the read
@@ -488,20 +500,18 @@ proptest! {
     #[test]
     fn random_edit_scripts_match_full_reparse(seed in 0u64..u64::MAX) {
         for d in Dialect::ALL {
-            for mode in MODES {
-                let p = parser(d, mode);
-                let mut s = p.session();
-                let mut oracle = p.session();
-                let mut rng = XorShift(seed ^ 0x9e37_79b9_7f4a_7c15);
-                s.open_document(&base_script(d));
-                for step in 0..8 {
-                    let (lo, hi, rep) = random_edit(&mut rng, s.document());
-                    let ctx = format!("{} {mode:?} seed {seed} step {step}: {lo}..{hi} := {rep:?}", d.name());
-                    if step == 7 || rng.below(3) == 0 {
-                        check_edit(&mut s, &mut oracle, lo, hi, rep, &ctx);
-                    } else {
-                        check_diagnostics(&mut s, &mut oracle, lo, hi, rep, &ctx);
-                    }
+            let p = parser(d);
+            let mut s = p.session();
+            let mut oracle = p.session();
+            let mut rng = XorShift(seed ^ 0x9e37_79b9_7f4a_7c15);
+            s.open_document(&base_script(d));
+            for step in 0..8 {
+                let (lo, hi, rep) = random_edit(&mut rng, s.document());
+                let ctx = format!("{} seed {seed} step {step}: {lo}..{hi} := {rep:?}", d.name());
+                if step == 7 || rng.below(3) == 0 {
+                    check_edit(&mut s, &mut oracle, lo, hi, rep, &ctx);
+                } else {
+                    check_diagnostics(&mut s, &mut oracle, lo, hi, rep, &ctx);
                 }
             }
         }

@@ -12,7 +12,6 @@
 
 use proptest::prelude::*;
 use sqlweave::dialects::Dialect;
-use sqlweave::parser_rt::engine::EngineMode;
 use sqlweave_bench::{composed, corpus, generated, parser};
 
 /// Assert all four scanners (and the pinned-SWAR vector path) agree on
@@ -58,7 +57,7 @@ fn assert_scanners_agree(
 /// expensive part — build them once per dialect, not per input).
 fn with_dialect_oracles(mut f: impl FnMut(Dialect, &sqlweave::lexgen::Scanner, &[sqlweave::lexgen::nfa::Nfa])) {
     for d in Dialect::ALL {
-        let scanner = parser(d, EngineMode::Backtracking).scanner();
+        let scanner = parser(d).scanner();
         let nfas = composed(d)
             .tokens
             .build_rule_nfas()
@@ -158,7 +157,7 @@ proptest! {
         // is the only concern — full has 244 rules, hence the lazy static.
         use std::sync::OnceLock;
         static NFAS: OnceLock<Vec<sqlweave::lexgen::nfa::Nfa>> = OnceLock::new();
-        let scanner = parser(Dialect::Full, EngineMode::Backtracking).scanner();
+        let scanner = parser(Dialect::Full).scanner();
         let nfas = NFAS.get_or_init(|| {
             composed(Dialect::Full).tokens.build_rule_nfas().expect("full rule NFAs")
         });

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use sqlweave_bench::{corpus, parser};
 use sqlweave::dialects::Dialect;
 use sqlweave::grammar::dsl::{parse_grammar, parse_tokens};
-use sqlweave::parser_rt::engine::EngineMode;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -14,10 +13,8 @@ proptest! {
     /// The full-dialect parser never panics; it accepts or errors.
     #[test]
     fn parser_never_panics_on_random_input(input in "[ -~\\n]{0,80}") {
-        let p = parser(Dialect::Full, EngineMode::Backtracking);
+        let p = parser(Dialect::Full);
         let _ = p.parse(&input);
-        let ll = parser(Dialect::Full, EngineMode::Ll1Table);
-        let _ = ll.parse(&input);
     }
 
     /// Random keyword soup in particular (lexes fine, must fail cleanly).
@@ -34,7 +31,7 @@ proptest! {
         )
     ) {
         let input = words.join(" ");
-        let p = parser(Dialect::Full, EngineMode::Backtracking);
+        let p = parser(Dialect::Full);
         let _ = p.parse(&input);
         let _ = sqlweave::baseline::parse_script(&input);
     }
@@ -55,7 +52,7 @@ proptest! {
 
 #[test]
 fn token_spans_reconstruct_source_slices() {
-    let p = parser(Dialect::Full, EngineMode::Backtracking);
+    let p = parser(Dialect::Full);
     for stmt in corpus(Dialect::Full) {
         let cst = p.parse(stmt).unwrap();
         for tok in cst.tokens() {
@@ -77,7 +74,7 @@ fn token_spans_reconstruct_source_slices() {
 #[test]
 fn composed_dialect_grammars_are_hygienic() {
     for d in Dialect::ALL {
-        let p = parser(d, EngineMode::Backtracking);
+        let p = parser(d);
         let analysis = p.analysis();
         assert!(
             analysis.unproductive.is_empty(),
@@ -106,7 +103,7 @@ fn composed_dialect_grammars_are_hygienic() {
 #[test]
 fn deeply_nested_input_parses_or_fails_gracefully() {
     // 60 levels of parenthesized expressions — exercises recursion depth.
-    let p = parser(Dialect::Warehouse, EngineMode::Backtracking);
+    let p = parser(Dialect::Warehouse);
     let depth = 60;
     let stmt = format!(
         "SELECT {}a{} FROM t",
@@ -122,7 +119,7 @@ fn deeply_nested_input_parses_or_fails_gracefully() {
 #[test]
 fn pathological_backtracking_terminates_quickly() {
     // Chains of commas/identifiers that force alternative retries.
-    let p = parser(Dialect::Full, EngineMode::Backtracking);
+    let p = parser(Dialect::Full);
     let stmt = format!("SELECT {} FROM t", vec!["a"; 200].join(", "));
     let t0 = std::time::Instant::now();
     p.parse(&stmt).unwrap();

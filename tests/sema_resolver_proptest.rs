@@ -1,13 +1,11 @@
 //! Property tests for the semantic analysis layer: resolving
 //! grammar-generated scripts never panics, and every span the resolver
 //! emits — statement extents, table reads, column-lineage edges,
-//! diagnostic anchors — falls inside the analyzed source. Runs the full
-//! dialect × engine matrix so the resolver sees every CST shape both
-//! engines can produce.
+//! diagnostic anchors — falls inside the analyzed source. Runs every
+//! dialect so the resolver sees every CST shape the presets produce.
 
 use proptest::prelude::*;
 use sqlweave::dialects::Dialect;
-use sqlweave::parser_rt::engine::EngineMode;
 use sqlweave::sema::{analyze_script, Analysis, ResolverCaps};
 use sqlweave_bench::{generated, parser};
 
@@ -40,8 +38,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Grammar-generated scripts — syntactically valid by construction,
-    /// semantically arbitrary — resolve without panicking on any dialect
-    /// with either engine, and every emitted span stays in bounds.
+    /// semantically arbitrary — resolve without panicking on any dialect,
+    /// and every emitted span stays in bounds.
     #[test]
     fn resolver_survives_generated_scripts(seed in 0u64..1 << 48) {
         for &dialect in Dialect::ALL.iter() {
@@ -50,16 +48,13 @@ proptest! {
             // Exercise both single statements and multi-statement scripts
             // (cross-statement state: CTE envs reset, DDL registration).
             let script = sentences.join("; ");
-            for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
-                let p = parser(dialect, mode);
-                let mut session = p.session();
-                for sql in sentences.iter().map(String::as_str).chain([script.as_str()]) {
-                    // The LL(1) engine rejects some sentences of the larger
-                    // dialects; the property only covers accepted parses.
-                    let Ok(tree) = session.parse_tree(sql) else { continue };
-                    let a = analyze_script(sql, &tree.to_cst(), &caps, None);
-                    assert_spans_in_bounds(dialect, sql, &a);
-                }
+            let p = parser(dialect);
+            let mut session = p.session();
+            for sql in sentences.iter().map(String::as_str).chain([script.as_str()]) {
+                // The property only covers accepted parses.
+                let Ok(tree) = session.parse_tree(sql) else { continue };
+                let a = analyze_script(sql, &tree.to_cst(), &caps, None);
+                assert_spans_in_bounds(dialect, sql, &a);
             }
         }
     }
@@ -72,7 +67,7 @@ proptest! {
 fn lineage_fixture_spans_stay_in_bounds() {
     for (dialect, sql) in sqlweave::sema::fixtures::all() {
         let caps = ResolverCaps::for_dialect(dialect);
-        let p = parser(dialect, EngineMode::Backtracking);
+        let p = parser(dialect);
         let cst = p.parse(sql).unwrap_or_else(|e| panic!("{}: {e}", dialect.name()));
         let a = analyze_script(sql, &cst, &caps, None);
         assert!(

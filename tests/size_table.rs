@@ -5,7 +5,6 @@
 
 use sqlweave_bench::parser;
 use sqlweave::dialects::Dialect;
-use sqlweave::parser_rt::engine::EngineMode;
 
 #[test]
 fn size_table() {
@@ -15,7 +14,7 @@ fn size_table() {
     );
     let mut rows = Vec::new();
     for d in Dialect::ALL {
-        let s = parser(d, EngineMode::Backtracking).stats();
+        let s = parser(d).stats();
         let features = d.configuration().len();
         println!(
             "{:<10} {:>9} {:>12} {:>10} {:>11} {:>11} {:>10} {:>10}",
@@ -42,14 +41,31 @@ fn size_table() {
 
     // Monotone along the designed ladder pico ⊂ core ⊂ warehouse ⊂ full.
     let ladder = [Dialect::Pico, Dialect::Core, Dialect::Warehouse, Dialect::Full];
-    let stats: Vec<_> = ladder
-        .iter()
-        .map(|d| parser(*d, EngineMode::Backtracking).stats())
-        .collect();
+    let stats: Vec<_> = ladder.iter().map(|d| parser(*d).stats()).collect();
     for w in stats.windows(2) {
         assert!(w[0].productions <= w[1].productions);
         assert!(w[0].token_rules <= w[1].token_rules);
         assert!(w[0].table_cells <= w[1].table_cells);
+    }
+}
+
+#[test]
+fn conflicts_grow_with_dialect_size() {
+    let mut prev = 0usize;
+    for d in [Dialect::Pico, Dialect::Core, Dialect::Full] {
+        let stats = parser(d).stats();
+        println!(
+            "{:<10} productions={} conflicts={} table_cells={}",
+            d.name(),
+            stats.productions,
+            stats.conflicts,
+            stats.table_cells
+        );
+        assert!(
+            stats.conflicts >= prev,
+            "conflicts should not shrink as features are added"
+        );
+        prev = stats.conflicts;
     }
 }
 
