@@ -28,6 +28,8 @@ use std::sync::Arc;
 /// A reusable parsing workspace bound to one [`Parser`].
 pub struct ParseSession<'p> {
     parser: &'p Parser,
+    /// The token buffer every drive reads: a standalone parse scans into
+    /// it, and an edit copies its reparse window into it.
     toks: Vec<Token>,
     kind_ids: Vec<u32>,
     events: Vec<Event>,
@@ -38,7 +40,7 @@ pub struct ParseSession<'p> {
     notes: Notes,
     counters: RunCounters,
     /// Arena of the last standalone `parse_tree` / `parse_resilient` tree.
-    tree: Arena,
+    tree: Box<Arena>,
     builder: TreeBuilder,
     /// Incrementally maintained document, when one is open
     /// ([`ParseSession::open_document`] / [`ParseSession::apply_edit`]).
@@ -64,42 +66,32 @@ pub struct EditStats {
     pub full_reparse: bool,
 }
 
-/// One top-level element of the maintained document — a parsed statement
-/// subtree, a recovery error node, or a bare separator token. Its subtree
-/// lives in its own [`Arena`] (`IncDoc::arenas`, same index) with
-/// chunk-local node ids and *chunk-relative* token indices, built once when
-/// the chunk is created, so an edit keeps every chunk outside its reparse
-/// window as it is (no per-node token-index rebase) and a tree read builds
-/// nothing. The span base offset turns the O(total tokens) suffix span
-/// shift of an edit into an O(#chunks) base update; absolute spans are
-/// only folded in when the tree is read.
-struct Chunk {
-    kind: ElemKind,
-    /// Number of tokens this chunk covers.
-    n_toks: usize,
-    /// Span rebase: a covered token's true span = the span stored in the
-    /// document token buffer + `base`.
-    base: isize,
-}
-
 /// Persistent state of an incrementally maintained document: the text and
 /// every derived artifact [`ParseSession::apply_edit`] repairs in place
-/// instead of recomputing — line index, token stream, lexical diagnostics
-/// (with the probe frontier of each failed munch, needed to place future
-/// relex restarts), syntax diagnostics, and the per-statement chunks of
-/// the whole document with their tree arenas.
+/// instead of recomputing — line index, lexical diagnostics (with the
+/// probe frontier of each failed munch, needed to place future relex
+/// restarts), syntax diagnostics, and the document's top-level elements
+/// (*chunks*).
+///
+/// A chunk is a parsed statement subtree, a recovery error node, or a
+/// bare separator token. Its [`Arena`] holds the subtree, with chunk-local
+/// node ids and chunk-relative token indices, and the chunk's tokens,
+/// stored relative to the chunk's span base: the start of its first
+/// token.
+/// Both are built once, when the chunk is created, so an edit keeps every
+/// chunk outside its reparse window as it is, and a tree read builds and
+/// folds nothing. Outside its window an edit changes only two dense
+/// per-chunk arrays, the first token index and the span base: integer
+/// adds, never a token move.
 struct IncDoc {
     /// Document text, spliced in place by each edit (the relex never
     /// needs pre-edit bytes, only pre-edit token positions).
     text: String,
     lines: LineIndex,
-    /// Document token stream + interned kind ids. Swapped into the
-    /// session's `toks`/`kind_ids` slots while incremental work runs, so
-    /// the strict engine and the recovery driver read them unchanged.
-    toks: Vec<Token>,
-    kind_ids: Vec<u32>,
     lex: Vec<LexError>,
-    lex_probes: Vec<usize>,
+    /// `(position, probe frontier)` of each entry of `lex`, in the same
+    /// order: the shape [`sqlweave_lexgen::Scanner::relex`] reads.
+    lex_probes: Vec<(usize, usize)>,
     /// Exact probe frontiers of the document's probe-unbounded tokens
     /// (ascending `(token_start, frontier)` pairs): the only tokens whose
     /// maximal munch can look past the static per-rule overhang bound, so
@@ -114,17 +106,24 @@ struct IncDoc {
     /// repairs it in place through [`Arc::make_mut`], which is free once
     /// the previous outcome is dropped.
     syn: Arc<Vec<ParseError>>,
-    /// The document's top-level elements in order, partitioning the token
-    /// stream.
-    chunks: Vec<Chunk>,
-    /// The tree arena of each chunk (same length as `chunks`): the
-    /// document tree is its root wrapper over these, so an edit rebuilds
-    /// only the arenas of the chunks it reparses.
-    arenas: Vec<Arena>,
-    /// First absolute token index of each chunk (prefix sums of `n_toks`;
-    /// same length as `chunks`, first entry 0). Repaired in place by each
-    /// chunk splice; rebuilt from scratch only on a full reparse.
+    /// Each chunk's arena (subtree and tokens), in document order: the
+    /// document tree is a root wrapper over these, so an edit rebuilds
+    /// only the arenas of the chunks it reparses. Boxed because an edit
+    /// that changes the chunk count splices this array and the three
+    /// below flat: a boxed record keeps that at 25 bytes per chunk.
+    #[allow(clippy::vec_box)]
+    arenas: Vec<Box<Arena>>,
+    /// Each chunk's kind.
+    kinds: Vec<ElemKind>,
+    /// First absolute token index of each chunk (prefix sums of the chunk
+    /// token counts, first entry 0). Repaired in place by each chunk
+    /// splice; rebuilt from scratch only on a full reparse.
     chunk_tok_lo: Vec<usize>,
+    /// Span base of each chunk (the start of its first token), added to
+    /// its tokens' stored spans.
+    bases: Vec<isize>,
+    /// Tokens in the document.
+    n_toks: usize,
     /// How many chunks cover zero tokens. Token-less top-level nodes break
     /// the edit window arithmetic, so each edit checks this count (kept
     /// current across splices) instead of rescanning every chunk.
@@ -139,15 +138,15 @@ impl IncDoc {
         IncDoc {
             text: String::new(),
             lines: LineIndex::new(""),
-            toks: Vec::new(),
-            kind_ids: Vec::new(),
             lex: Vec::new(),
             lex_probes: Vec::new(),
             tok_probes: Vec::new(),
             syn: Arc::new(Vec::new()),
-            chunks: Vec::new(),
             arenas: Vec::new(),
+            kinds: Vec::new(),
             chunk_tok_lo: Vec::new(),
+            bases: Vec::new(),
+            n_toks: 0,
             n_empty_chunks: 0,
             root: (ERROR_NODE, 0),
             last_edit: EditStats {
@@ -164,91 +163,110 @@ impl IncDoc {
     fn rebuild_chunk_tok_lo(&mut self) {
         self.chunk_tok_lo.clear();
         let mut lo = 0usize;
-        for c in &self.chunks {
+        for a in &self.arenas {
             self.chunk_tok_lo.push(lo);
-            lo += c.n_toks;
+            lo += a.toks.len();
         }
+    }
+
+    /// The chunk holding token `t`: the last chunk whose first token index
+    /// is ≤ `t` (zero-token chunks share their successor's index and are
+    /// skipped).
+    fn chunk_of(&self, t: usize) -> usize {
+        self.chunk_tok_lo.partition_point(|&lo| lo <= t) - 1
+    }
+
+    /// First token index of chunk `c`, or the token count for `c` past the
+    /// last chunk.
+    fn chunk_start(&self, c: usize) -> usize {
+        self.chunk_tok_lo.get(c).copied().unwrap_or(self.n_toks)
+    }
+
+    /// Append tokens `from..to`, spans moved by their chunk's base plus
+    /// `shift` bytes, to `out`.
+    fn copy_tokens(&self, from: usize, to: usize, shift: isize, out: &mut Vec<Token>) {
+        if from >= to {
+            return;
+        }
+        let mut c = self.chunk_of(from);
+        let mut i = from;
+        while i < to {
+            let lo = self.chunk_tok_lo[c];
+            let toks = &self.arenas[c].toks;
+            let end = (lo + toks.len()).min(to);
+            let base = self.bases[c] + shift;
+            out.extend(toks[i - lo..end - lo].iter().map(|t| t.at(base)));
+            i = end;
+            c += 1;
+        }
+    }
+
+    /// The storage invariants every edit keeps (debug builds): the chunk
+    /// arrays agree in length, `chunk_tok_lo` holds the prefix sums of the
+    /// chunk token counts, which sum to `n_toks`, each chunk's first token
+    /// sits at its base, every token element of an arena indexes one of
+    /// its own chunk's tokens, and `n_empty_chunks` counts the token-less
+    /// chunks.
+    #[cfg(debug_assertions)]
+    fn check_storage(&self) {
+        let n = self.arenas.len();
+        assert!(
+            self.kinds.len() == n && self.chunk_tok_lo.len() == n && self.bases.len() == n,
+            "chunk arrays disagree in length"
+        );
+        let mut acc = 0usize;
+        for (c, a) in self.arenas.iter().enumerate() {
+            assert_eq!(
+                self.chunk_tok_lo[c], acc,
+                "chunk_tok_lo[{c}] drifted from the prefix sums of the chunk token counts"
+            );
+            assert!(
+                a.tokens_consistent(),
+                "chunk {c} is not based at its first token, or references a token outside itself"
+            );
+            acc += a.toks.len();
+        }
+        assert_eq!(
+            acc, self.n_toks,
+            "chunk token counts do not sum to the document's"
+        );
+        assert_eq!(
+            self.n_empty_chunks,
+            self.arenas.iter().filter(|a| a.toks.is_empty()).count(),
+            "incremental empty-chunk count drifted"
+        );
     }
 }
 
-/// [`TokenSource`] view of a chunked document token stream: spans stored
-/// in the flat buffer are folded with the owning chunk's base offset on
-/// access, so the relex sees true (absolute) spans without the suffix
-/// ever being rewritten.
-struct ChunkedTokens<'a> {
-    toks: &'a [Token],
-    chunks: &'a [Chunk],
-    chunk_tok_lo: &'a [usize],
-}
-
-impl TokenSource for ChunkedTokens<'_> {
+/// The document's tokens as the relex reads them: absolute spans, each
+/// stored span plus its chunk's base, looked up on demand.
+impl TokenSource for IncDoc {
     fn len(&self) -> usize {
-        self.toks.len()
+        self.n_toks
     }
 
     fn get(&self, i: usize) -> Token {
-        // Last chunk whose first token index is ≤ i (zero-token chunks
-        // share their successor's `lo` and are correctly skipped).
-        let c = self.chunk_tok_lo.partition_point(|&lo| lo <= i) - 1;
-        let t = self.toks[i];
-        let b = self.chunks[c].base;
-        Token {
-            kind: t.kind,
-            start: (t.start as isize + b) as usize,
-            end: (t.end as isize + b) as usize,
-        }
+        let c = self.chunk_of(i);
+        self.arenas[c].toks[i - self.chunk_tok_lo[c]].at(self.bases[c])
     }
 }
 
-/// Turn one [`TopElem`] of a drive's output stream into a [`Chunk`] and
-/// its arena: token indices rebased from absolute to chunk-relative, span
-/// base 0 (a fresh drive's spans are absolute).
-fn chunk_of_elem(b: &mut TreeBuilder, revents: &[Event], e: &TopElem) -> (Chunk, Arena) {
-    let arena = Arena::from_events(b, &revents[e.ev_lo..e.ev_hi], e.tok_lo as u32);
-    (
-        Chunk {
-            kind: e.kind,
-            n_toks: e.tok_hi - e.tok_lo,
-            base: 0,
-        },
-        arena,
-    )
-}
-
-/// Materialize absolute new-text spans for the window tokens `from..to`
-/// (post-splice indices) in place: fresh relexed tokens
-/// (`fresh_lo..fresh_hi`) already carry absolute spans; prefix tokens fold
-/// in their old chunk's base; suffix tokens fold in their old chunk's base
-/// plus the edit's byte delta (their chunks have not been rebased yet —
-/// this runs before the chunk splice).
-#[allow(clippy::too_many_arguments)]
-fn normalize_spans(
-    toks: &mut [Token],
-    chunks: &[Chunk],
-    chunk_tok_lo: &[usize],
-    from: usize,
-    to: usize,
-    fresh_lo: usize,
-    fresh_hi: usize,
-    tok_delta: isize,
-    delta: isize,
-) {
-    for (i, tok) in toks.iter_mut().enumerate().take(to).skip(from) {
-        if (fresh_lo..fresh_hi).contains(&i) {
-            continue;
-        }
-        let (old_i, extra) = if i < fresh_lo {
-            (i, 0)
-        } else {
-            ((i as isize - tok_delta) as usize, delta)
-        };
-        let c = chunk_tok_lo.partition_point(|&lo| lo <= old_i) - 1;
-        let b = chunks[c].base + extra;
-        if b != 0 {
-            tok.start = (tok.start as isize + b) as usize;
-            tok.end = (tok.end as isize + b) as usize;
-        }
-    }
+/// The chunk of one [`TopElem`] of a drive's output stream over `toks`:
+/// its arena with token indices rebased from stream-relative to
+/// chunk-relative, owning its tokens, and its span base.
+fn chunk_of_elem(
+    b: &mut TreeBuilder,
+    revents: &[Event],
+    toks: &[Token],
+    e: &TopElem,
+) -> (Box<Arena>, isize) {
+    let (arena, base) = Arena::from_events(
+        b,
+        &revents[e.ev_lo..e.ev_hi],
+        e.tok_lo as u32,
+        &toks[e.tok_lo..e.tok_hi],
+    );
+    (Box::new(arena), base)
 }
 
 /// What a window-bounded resilient drive reported back.
@@ -316,21 +334,21 @@ impl fmt::Display for EditError {
 impl std::error::Error for EditError {}
 
 /// Deferred tree handle of an [`EditOutcome`]: holds the session borrow
-/// and only assembles the document tree when [`LazyTree::get`] is called.
-/// Dropping it without calling `get` keeps the edit O(damage window +
-/// #chunks) — the sub-millisecond keystroke path.
+/// and returns the document tree when [`LazyTree::get`] is called. The
+/// edit already kept every chunk current, so a read adds nothing to the
+/// edit's own cost: its window's tokens and chunks, integer adds over two
+/// per-chunk arrays, and the two document-wide terms
+/// [`ParseSession::apply_edit`] lists.
 pub struct LazyTree<'s, 'p> {
     session: &'s mut ParseSession<'p>,
 }
 
 impl LazyTree<'_, '_> {
-    /// The document tree. A read builds no nodes: each statement's arena
-    /// was built when the statement was last parsed (by `open_document`,
-    /// or by the edit whose reparse window covered it), and the tree is a
-    /// root wrapper over those arenas. The first call after an edit folds
-    /// the pending chunk span bases into absolute token spans, which costs
-    /// one pass over the tokens after the edit; calls without an
-    /// intervening edit fold nothing.
+    /// The document tree. A read builds no nodes and rewrites no token:
+    /// each statement's arena and tokens were built when the statement was
+    /// last parsed (by `open_document`, or by the edit whose reparse
+    /// window covered it), the tree is a root wrapper over them, and a
+    /// token's chunk span base is added when the token is read.
     pub fn get(&mut self) -> SyntaxTree<'_> {
         self.session.materialize_document()
     }
@@ -373,99 +391,104 @@ fn lex_to_parse(e: &LexError) -> ParseError {
     }
 }
 
-/// Repair the syntax diagnostics past an edit's damage boundary in place:
-/// positions shift by the byte delta, and line/column are patched without
-/// rescanning any text. A diagnostic whose pre-edit position was at or
-/// past `old_line_end` (the first pre-edit line start after the edited
-/// range) sits on a line the edit never touched: its column survives
-/// verbatim and its line moves by exactly `line_delta`, two integer adds.
-/// Only the few diagnostics still on the edit's own last line pay a full
-/// line/column recomputation. This keeps each edit independent of how
-/// many diagnostics the document carries beyond one pass of integer
-/// arithmetic, even when a large document holds thousands of them.
-fn repair_suffix_diags(
-    syn: &mut [ParseError],
-    text: &str,
-    lines: &LineIndex,
+/// How an edit moved the text after it: every byte by `delta`, and every
+/// line at or past `old_line_end` (the first pre-edit line start after the
+/// edited range) by `line_delta` lines, its columns unchanged.
+#[derive(Clone, Copy)]
+struct Shift {
     delta: isize,
     line_delta: isize,
     old_line_end: usize,
-) {
-    for e in syn {
-        let old_at = e.at;
-        e.at = (old_at as isize + delta) as usize;
-        if old_at >= old_line_end {
-            e.line = (e.line as isize + line_delta) as usize;
+}
+
+impl Shift {
+    /// Move a position at or past the edit's end to the edited text, given
+    /// its pre-edit line and column. A position at or past `old_line_end`
+    /// sits on a line the edit never touched: its column survives verbatim
+    /// and its line moves by exactly `line_delta`, two integer adds. Only
+    /// a position still on the edit's own last line pays a line/column
+    /// recomputation against the repaired index, which rescans its line.
+    fn apply(
+        &self,
+        text: &str,
+        lines: &LineIndex,
+        at: &mut usize,
+        line: &mut usize,
+        column: &mut usize,
+    ) {
+        let old_at = *at;
+        *at = (old_at as isize + self.delta) as usize;
+        if old_at >= self.old_line_end {
+            *line = (*line as isize + self.line_delta) as usize;
         } else {
-            let (line, column) = lines.line_col(text, e.at);
-            e.line = line;
-            e.column = column;
+            (*line, *column) = lines.line_col(text, *at);
+        }
+    }
+
+    /// A probe frontier moved like a position, with the `usize::MAX`
+    /// EOF-observation sentinel preserved.
+    fn probe(&self, p: usize) -> usize {
+        if p == usize::MAX {
+            p
+        } else {
+            (p as isize + self.delta) as usize
         }
     }
 }
 
-/// Replace the lexical diagnostics covered by a relex: errors before the
-/// restart point survive unchanged (the restart rule guarantees their
-/// probe frontiers never reached the edit), the relexed window's are
-/// fresh, and errors past the resync boundary shift — position and probe
-/// frontier both — by the edit's byte delta (line/column recomputed
-/// against the repaired line index).
-fn splice_lex_diags(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, delta: isize) {
-    let mut lex = Vec::with_capacity(relex.errors.len());
-    let mut probes = Vec::with_capacity(relex.err_probes.len());
-    for (e, &p) in doc.lex.iter().zip(&doc.lex_probes) {
-        if e.at < relex.start_byte {
-            lex.push(e.clone());
-            probes.push(p);
-        }
+/// Repair the syntax diagnostics past an edit's damage boundary in place
+/// (see [`Shift::apply`]): each edit stays independent of how many
+/// diagnostics the document carries beyond one pass of integer
+/// arithmetic, even when a large document holds thousands of them.
+fn repair_suffix_diags(syn: &mut [ParseError], text: &str, lines: &LineIndex, shift: Shift) {
+    for e in syn {
+        shift.apply(text, lines, &mut e.at, &mut e.line, &mut e.column);
     }
-    lex.extend(relex.errors.iter().cloned());
-    probes.extend_from_slice(&relex.err_probes);
-    if let Some(q) = relex.resync_old {
-        for (e, &p) in doc.lex.iter().zip(&doc.lex_probes) {
-            if e.at >= q {
-                let at = (e.at as isize + delta) as usize;
-                let (line, column) = doc.lines.line_col(&doc.text, at);
-                lex.push(LexError { at, line, column, found: e.found });
-                probes.push(if p == usize::MAX { p } else { (p as isize + delta) as usize });
-            }
-        }
-    }
-    doc.lex = lex;
-    doc.lex_probes = probes;
 }
 
-/// Replace the unbounded-token probe cache covered by a relex, mirroring
-/// [`splice_lex_diags`]: entries before the restart survive verbatim (the
-/// restart rule guarantees their frontiers never reached the edit), the
-/// rescanned window's come fresh from the relex (already in new-text
-/// coordinates), and entries past the resync boundary shift — token start
-/// and frontier both — by the edit's byte delta, with the `usize::MAX`
-/// EOF-observation sentinel preserved.
-fn splice_tok_probes(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, delta: isize) {
-    if doc.tok_probes.is_empty() && relex.tok_probes.is_empty() {
-        return;
+/// Splice the lexical diagnostics covered by a relex, in place: errors
+/// before the restart point survive unchanged (the restart rule
+/// guarantees their probe frontiers never reached the edit), the relexed
+/// window's are replaced by the fresh ones, and errors past the resync
+/// boundary shift — position and probe frontier both — by the edit.
+fn splice_lex_diags(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, shift: Shift) {
+    let lo = doc.lex.partition_point(|e| e.at < relex.start_byte);
+    let hi = match relex.resync_old {
+        Some(q) => doc.lex.partition_point(|e| e.at < q),
+        None => doc.lex.len(),
+    };
+    for (e, p) in doc.lex[hi..].iter_mut().zip(&mut doc.lex_probes[hi..]) {
+        shift.apply(&doc.text, &doc.lines, &mut e.at, &mut e.line, &mut e.column);
+        *p = (e.at, shift.probe(p.1));
     }
-    let mut probes = Vec::with_capacity(doc.tok_probes.len() + relex.tok_probes.len());
-    probes.extend(
-        doc.tok_probes
+    doc.lex.splice(lo..hi, relex.errors.iter().cloned());
+    doc.lex_probes.splice(
+        lo..hi,
+        relex
+            .errors
             .iter()
-            .copied()
-            .take_while(|&(at, _)| at < relex.start_byte),
+            .zip(&relex.err_probes)
+            .map(|(e, &p)| (e.at, p)),
     );
-    probes.extend_from_slice(&relex.tok_probes);
-    if let Some(q) = relex.resync_old {
-        probes.extend(
-            doc.tok_probes
-                .iter()
-                .filter(|&&(at, _)| at >= q)
-                .map(|&(at, p)| {
-                    let p = if p == usize::MAX { p } else { (p as isize + delta) as usize };
-                    ((at as isize + delta) as usize, p)
-                }),
-        );
+}
+
+/// Splice the unbounded-token probe cache covered by a relex, in place
+/// and like [`splice_lex_diags`]: entries before the restart survive
+/// verbatim, the rescanned window's come fresh from the relex (already in
+/// new-text coordinates), and entries past the resync boundary shift —
+/// token start and frontier both — by the edit's byte delta.
+fn splice_tok_probes(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, shift: Shift) {
+    let probes = &mut doc.tok_probes;
+    let lo = probes.partition_point(|&(at, _)| at < relex.start_byte);
+    let hi = match relex.resync_old {
+        Some(q) => probes.partition_point(|&(at, _)| at < q),
+        None => probes.len(),
+    };
+    for (at, p) in &mut probes[hi..] {
+        *at = (*at as isize + shift.delta) as usize;
+        *p = shift.probe(*p);
     }
-    doc.tok_probes = probes;
+    probes.splice(lo..hi, relex.tok_probes.iter().copied());
 }
 
 /// Pick the window's first element: walk left to a `Clean` element (error
@@ -476,13 +499,13 @@ fn splice_tok_probes(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, delta: is
 /// known to need that margin, but dropping it would shrink every reparse
 /// window, and with it the exact window counts the keystroke gate and the
 /// benchmark report, so it waits for a measured change of its own.
-fn widen_left(chunks: &[Chunk], mut e: usize) -> usize {
+fn widen_left(kinds: &[ElemKind], mut e: usize) -> usize {
     let mut margin = 1;
     loop {
-        while e > 0 && chunks[e].kind != ElemKind::Clean {
+        while e > 0 && kinds[e] != ElemKind::Clean {
             e -= 1;
         }
-        if e > 0 && chunks[e - 1].kind == ElemKind::Err {
+        if e > 0 && kinds[e - 1] == ElemKind::Err {
             e -= 1;
             continue;
         }
@@ -502,16 +525,16 @@ fn widen_left(chunks: &[Chunk], mut e: usize) -> usize {
 /// clean statement of margin, and stop *before* the next clean statement
 /// or bare separator — the window then ends where a statement ends, so
 /// its end of input falls on a statement boundary.
-fn widen_right(chunks: &[Chunk], mut e: usize) -> usize {
+fn widen_right(kinds: &[ElemKind], mut e: usize) -> usize {
     let mut margin = 1;
-    while e < chunks.len() {
-        match chunks[e].kind {
+    while e < kinds.len() {
+        match kinds[e] {
             ElemKind::Err => e += 1,
             ElemKind::Tok | ElemKind::Clean => {
                 if margin == 0 {
                     break;
                 }
-                if chunks[e].kind == ElemKind::Clean {
+                if kinds[e] == ElemKind::Clean {
                     margin -= 1;
                 }
                 e += 1;
@@ -562,7 +585,7 @@ pub(crate) struct SessionBuffers {
     memo: FailureMemo,
     notes: Notes,
     counters: RunCounters,
-    tree: Arena,
+    tree: Box<Arena>,
     builder: TreeBuilder,
 }
 
@@ -578,7 +601,7 @@ impl<'p> ParseSession<'p> {
             memo: FailureMemo::default(),
             notes: Notes::new(parser.n_tokens),
             counters: RunCounters::default(),
-            tree: Arena::default(),
+            tree: Box::default(),
             builder: TreeBuilder::default(),
             inc: None,
         }
@@ -655,13 +678,8 @@ impl<'p> ParseSession<'p> {
                     _ => unreachable!("a successful parse opens and closes a root"),
                 };
                 self.tree.build(&mut self.builder, inner, 0);
-                Ok(SyntaxTree::new(
-                    parser,
-                    input,
-                    &self.toks,
-                    root,
-                    std::slice::from_ref(&self.tree),
-                    &[0],
+                Ok(SyntaxTree::single(
+                    parser, input, root, &self.tree, &self.toks,
                 ))
             }
             Ok(next) => {
@@ -712,8 +730,9 @@ impl<'p> ParseSession<'p> {
         result
     }
 
-    /// The panic-mode recovery driver over the token window `lo..hi` of a
-    /// `doc_end`-token stream, appending spliced chunks and error nodes to
+    /// The panic-mode recovery driver over the tokens `lo..hi` of the
+    /// session's token buffer, which continues (in the document) up to
+    /// token `doc_end`, appending spliced chunks and error nodes to
     /// `self.revents` and diagnostics to `errors`. A full parse passes
     /// `lo = 0, hi = doc_end`; the incremental reparser passes a damage
     /// window, for which the drive additionally watches for evidence that
@@ -896,14 +915,7 @@ impl<'p> ParseSession<'p> {
         errors.sort_by_key(|e| e.at);
         self.tree.build(&mut self.builder, &self.revents, 0);
         ParseOutcome {
-            tree: SyntaxTree::new(
-                parser,
-                input,
-                &self.toks,
-                root,
-                std::slice::from_ref(&self.tree),
-                &[0],
-            ),
+            tree: SyntaxTree::single(parser, input, root, &self.tree, &self.toks),
             errors,
         }
     }
@@ -921,9 +933,7 @@ impl<'p> ParseSession<'p> {
         let mut doc = self.inc.take().unwrap_or_else(|| Box::new(IncDoc::empty()));
         doc.text.clear();
         doc.text.push_str(text);
-        self.swap_doc_buffers(&mut doc);
         self.reparse_document(&mut doc);
-        self.swap_doc_buffers(&mut doc);
         self.inc = Some(doc);
         self.lazy_outcome()
     }
@@ -976,9 +986,7 @@ impl<'p> ParseSession<'p> {
             self.inc = Some(doc);
             return Err(EditError::NotCharBoundary { range });
         }
-        self.swap_doc_buffers(&mut doc);
         self.apply_edit_inner(&mut doc, range.start, range.end, replacement);
-        self.swap_doc_buffers(&mut doc);
         self.inc = Some(doc);
         Ok(self.lazy_outcome())
     }
@@ -991,21 +999,26 @@ impl<'p> ParseSession<'p> {
     /// 1. **damage relex** — [`sqlweave_lexgen::Scanner::relex`] restarts
     ///    the scanner at the last token boundary that provably never
     ///    observed an edited byte and stops at the first old scan boundary
-    ///    past the edit, splicing the token buffer (the line index shifts
-    ///    incrementally too);
+    ///    past the edit;
     /// 2. **localized reparse** — the damaged token range is mapped to the
     ///    smallest enclosing run of top-level statement chunks (plus one
     ///    clean statement of margin on each side, with adjacent error
-    ///    nodes absorbed), only that window is re-driven through
-    ///    panic-mode recovery, and the untouched prefix/suffix chunks are
-    ///    kept verbatim with their arenas (chunk-relative token indices;
-    ///    suffix span bases shift by the byte delta) — widening and
+    ///    nodes absorbed), only that window's tokens are copied out and
+    ///    re-driven through panic-mode recovery, and its chunks are
+    ///    replaced by fresh ones; the untouched prefix/suffix chunks keep
+    ///    their arenas and tokens verbatim (the suffix's span bases and
+    ///    first token indices shift by the edit's deltas) — widening and
     ///    retrying if the drive proves the window too small;
     /// 3. **diagnostic rebase** — diagnostics outside the window shift
     ///    position; only the window's are recomputed.
     ///
     /// Token-preserving edits (inside whitespace or a comment) skip the
-    /// parser entirely and only rebase spans.
+    /// parser entirely: they shift the spans of one boundary chunk's
+    /// tokens and the bases of the chunks after it.
+    ///
+    /// No token outside the window moves. Two steps still cost
+    /// O(document) per edit: the in-place splice of the document text and
+    /// the line index's shift of the line starts after the edit.
     ///
     /// The returned [`EditOutcome`] carries diagnostics and stats
     /// eagerly; the tree is assembled only when [`LazyTree::get`] is
@@ -1046,17 +1059,11 @@ impl<'p> ParseSession<'p> {
         EditOutcome { errors, stats, tree: LazyTree { session: self } }
     }
 
-    /// Trade the session's token buffers with the document's: incremental
-    /// work keeps the document stream in the session slots the strict
-    /// engine and the recovery driver read, without copying.
-    fn swap_doc_buffers(&mut self, doc: &mut IncDoc) {
-        std::mem::swap(&mut self.toks, &mut doc.toks);
-        std::mem::swap(&mut self.kind_ids, &mut doc.kind_ids);
-    }
-
     /// Parse the document text from scratch into `doc` (the full-reparse
     /// path of `open_document`, and the fallback for edits the local
-    /// repair cannot handle). Expects the document buffers swapped in.
+    /// repair cannot handle): scan it into the session's token buffer,
+    /// drive it, and split the drive's output into chunks that each own
+    /// their tokens.
     fn reparse_document(&mut self, doc: &mut IncDoc) {
         let parser = self.parser;
         self.toks.clear();
@@ -1067,7 +1074,7 @@ impl<'p> ParseSession<'p> {
         doc.lex_probes = doc
             .lex
             .iter()
-            .map(|e| parser.scanner.step_raw(&doc.text, e.at).probe)
+            .map(|e| (e.at, parser.scanner.step_raw(&doc.text, e.at).probe))
             .collect();
         doc.tok_probes = parser.scanner.token_probes(&doc.text, &self.toks);
         self.kind_ids.extend(self.toks.iter().map(|t| t.kind.0));
@@ -1076,14 +1083,17 @@ impl<'p> ParseSession<'p> {
         syn.clear();
         let drive = self.drive_resilient(&doc.text, &doc.lines, 0, n, n, syn);
         doc.root = drive.root.unwrap_or((ERROR_NODE, 0));
-        doc.chunks.clear();
         doc.arenas.clear();
+        doc.kinds.clear();
+        doc.bases.clear();
+        let toks = &self.toks;
         match split_elements(&self.revents, 0) {
             Some(elems) => {
                 for e in &elems {
-                    let (chunk, arena) = chunk_of_elem(&mut self.builder, &self.revents, e);
-                    doc.chunks.push(chunk);
+                    let (arena, base) = chunk_of_elem(&mut self.builder, &self.revents, toks, e);
                     doc.arenas.push(arena);
+                    doc.kinds.push(e.kind);
+                    doc.bases.push(base);
                 }
             }
             None => {
@@ -1091,17 +1101,17 @@ impl<'p> ParseSession<'p> {
                 // opaque chunk instead of panicking: its arena holds every
                 // top-level element, and the next edit's window fallback
                 // handles it.
-                doc.chunks.push(Chunk {
-                    kind: ElemKind::Err,
-                    n_toks: n,
-                    base: 0,
-                });
-                doc.arenas
-                    .push(Arena::from_events(&mut self.builder, &self.revents, 0));
+                let (arena, base) = Arena::from_events(&mut self.builder, &self.revents, 0, toks);
+                doc.arenas.push(Box::new(arena));
+                doc.kinds.push(ElemKind::Err);
+                doc.bases.push(base);
             }
         }
+        doc.n_toks = n;
         doc.rebuild_chunk_tok_lo();
-        doc.n_empty_chunks = doc.chunks.iter().filter(|c| c.n_toks == 0).count();
+        doc.n_empty_chunks = doc.arenas.iter().filter(|a| a.toks.is_empty()).count();
+        #[cfg(debug_assertions)]
+        doc.check_storage();
         doc.last_edit = EditStats {
             relexed_tokens: n,
             reparsed_tokens: n,
@@ -1111,29 +1121,18 @@ impl<'p> ParseSession<'p> {
         };
     }
 
-    /// Read the maintained document's tree: fold every pending chunk span
-    /// base into absolute token spans, and return the root wrapper over
-    /// the chunk arenas, which every edit already keeps current.
-    fn materialize_document(&mut self) -> SyntaxTree<'_> {
-        let parser = self.parser;
-        let doc = self.inc.as_deref_mut().expect("no document open");
-        for (c, chunk) in doc.chunks.iter_mut().enumerate() {
-            if chunk.base != 0 {
-                let lo = doc.chunk_tok_lo[c];
-                for t in &mut doc.toks[lo..lo + chunk.n_toks] {
-                    t.start = (t.start as isize + chunk.base) as usize;
-                    t.end = (t.end as isize + chunk.base) as usize;
-                }
-                chunk.base = 0;
-            }
-        }
+    /// Read the maintained document's tree: the root wrapper over the
+    /// chunks, which every edit already keeps current.
+    fn materialize_document(&self) -> SyntaxTree<'_> {
+        let doc = self.inc.as_deref().expect("no document open");
         SyntaxTree::new(
-            parser,
+            self.parser,
             &doc.text,
-            &doc.toks,
             doc.root,
             &doc.arenas,
             &doc.chunk_tok_lo,
+            &doc.bases,
+            doc.n_toks,
         )
     }
 
@@ -1148,18 +1147,19 @@ impl<'p> ParseSession<'p> {
         Ok(ParseOutcome { tree: self.materialize_document(), errors })
     }
 
-    /// The edit pipeline (document buffers swapped in): text splice, line
-    /// index repair, damage relex, token/diagnostic splice, and — when the
-    /// token stream actually changed — the windowed reparse.
+    /// The edit pipeline: text splice, line index repair, damage relex,
+    /// diagnostic splice, and — when the token stream actually changed —
+    /// the windowed reparse, which replaces the window's chunks.
     fn apply_edit_inner(&mut self, doc: &mut IncDoc, start: usize, old_end: usize, rep: &str) {
         let parser = self.parser;
         let new_end = start + rep.len();
         let delta = new_end as isize - old_end as isize;
 
         // In-place text splice: the relex only ever consults old token
-        // *positions* (through the rebased [`ChunkedTokens`] view), never
-        // old bytes, so no pre-edit copy of the document is kept — a
-        // same-length replacement touches only the replaced bytes.
+        // *positions* (through the document's chunk-based
+        // [`TokenSource`]), never old bytes, so no pre-edit copy of the
+        // document is kept — a same-length replacement touches only the
+        // replaced bytes.
         let old_text_len = doc.text.len();
         doc.text.replace_range(start..old_end, rep);
 
@@ -1169,36 +1169,29 @@ impl<'p> ParseSession<'p> {
         // moves exactly `line_delta` lines — the suffix repair below is
         // two integer adds per diagnostic instead of a line/column
         // recomputation that rescans its line.
-        let old_line_end = doc
-            .lines
-            .line_start(doc.lines.line_of(old_end) + 1)
-            .unwrap_or(usize::MAX);
-        let line_delta = rep.bytes().filter(|&b| b == b'\n').count() as isize
-            - (doc.lines.line_of(old_end) - doc.lines.line_of(start)) as isize;
+        let shift = Shift {
+            delta,
+            line_delta: rep.bytes().filter(|&b| b == b'\n').count() as isize
+                - (doc.lines.line_of(old_end) - doc.lines.line_of(start)) as isize,
+            old_line_end: doc
+                .lines
+                .line_start(doc.lines.line_of(old_end) + 1)
+                .unwrap_or(usize::MAX),
+        };
 
         doc.lines.apply_edit(start, old_end, rep);
-        let old_err_pairs: Vec<(usize, usize)> = doc
-            .lex
-            .iter()
-            .zip(&doc.lex_probes)
-            .map(|(e, &p)| (e.at, p))
-            .collect();
         let relex = parser.scanner.relex(
             old_text_len,
             &doc.text,
             &doc.lines,
-            &ChunkedTokens {
-                toks: &self.toks,
-                chunks: &doc.chunks,
-                chunk_tok_lo: &doc.chunk_tok_lo,
-            },
-            &old_err_pairs,
+            &*doc,
+            &doc.lex_probes,
             &doc.tok_probes,
             start,
             old_end,
             new_end,
         );
-        let n_old = self.toks.len();
+        let n_old = doc.n_toks;
         let tok_delta = (relex.old_lo + relex.tokens.len()) as isize - relex.old_hi as isize;
         let n_new = (n_old as isize + tok_delta) as usize;
         let resync_bytes = match relex.resync_new {
@@ -1215,23 +1208,22 @@ impl<'p> ParseSession<'p> {
 
         if relex.old_lo == relex.old_hi && relex.tokens.is_empty() {
             // Token-preserving edit (whitespace / comment interior / a
-            // lexical-error-only change): no token splice at all — shift
-            // the boundary chunk's tail spans in place, rebase every later
-            // chunk by the byte delta, and keep every chunk arena.
-            splice_lex_diags(doc, &relex, delta);
-            splice_tok_probes(doc, &relex, delta);
-            if delta != 0 {
+            // lexical-error-only change): no token replaced — rebase every
+            // chunk from the first moved token on by the byte delta (after
+            // shifting the stored spans of its chunk's tail, when it is not
+            // that chunk's first token), and keep every chunk arena.
+            splice_lex_diags(doc, &relex, shift);
+            splice_tok_probes(doc, &relex, shift);
+            if delta != 0 && relex.old_lo < n_old {
                 let first = relex.old_lo; // first token whose span shifts
-                if first < n_old {
-                    let c = doc.chunk_tok_lo.partition_point(|&lo| lo <= first) - 1;
-                    let c_end = doc.chunk_tok_lo[c] + doc.chunks[c].n_toks;
-                    for t in &mut self.toks[first..c_end] {
-                        t.start = (t.start as isize + delta) as usize;
-                        t.end = (t.end as isize + delta) as usize;
-                    }
-                    for chunk in &mut doc.chunks[c + 1..] {
-                        chunk.base += delta;
-                    }
+                let mut c = doc.chunk_of(first);
+                let local = first - doc.chunk_tok_lo[c];
+                if local > 0 {
+                    doc.arenas[c].shift_spans(local, delta);
+                    c += 1;
+                }
+                for b in &mut doc.bases[c..] {
+                    *b += delta;
                 }
             }
             // Diagnostics at or past the edit end keep their identity but
@@ -1240,21 +1232,16 @@ impl<'p> ParseSession<'p> {
             // so this runs regardless of `delta`).
             let syn = Arc::make_mut(&mut doc.syn);
             let lo = syn.partition_point(|e| e.at < old_end);
-            repair_suffix_diags(
-                &mut syn[lo..],
-                &doc.text,
-                &doc.lines,
-                delta,
-                line_delta,
-                old_line_end,
-            );
+            repair_suffix_diags(&mut syn[lo..], &doc.text, &doc.lines, shift);
+            #[cfg(debug_assertions)]
+            doc.check_storage();
             doc.last_edit = stats;
             return;
         }
 
         // Window planning works in *old* token indices against the old
-        // chunk structure, so it runs before the token splice.
-        if n_old == 0 || doc.chunks.is_empty() || doc.n_empty_chunks > 0 {
+        // chunk structure.
+        if n_old == 0 || doc.arenas.is_empty() || doc.n_empty_chunks > 0 {
             // No previous structure to splice around (or token-less
             // top-level nodes, which break the window arithmetic).
             return self.edit_fallback(doc);
@@ -1264,155 +1251,124 @@ impl<'p> ParseSession<'p> {
         let (a, b) = (relex.old_lo, relex.old_hi);
         let cover_lo = a.saturating_sub(1).min(n_old - 1);
         let cover_hi = (b.max(a + 1)).min(n_old) - 1; // last covered token
-        let elem_of =
-            |t: usize| -> usize { doc.chunk_tok_lo.partition_point(|&lo| lo <= t) - 1 };
-        let e_lo = widen_left(&doc.chunks, elem_of(cover_lo));
-        let mut e_hi = widen_right(&doc.chunks, elem_of(cover_hi) + 1);
+        let e_lo = widen_left(&doc.kinds, doc.chunk_of(cover_lo));
+        let mut e_hi = widen_right(&doc.kinds, doc.chunk_of(cover_hi) + 1);
 
-        // Old-text byte of the window start (true span = stored + base),
-        // for splitting the diagnostic list; computed before the token
-        // splice while old indices are valid.
-        let win_start_byte = {
-            let t = doc.chunk_tok_lo[e_lo];
-            (self.toks[t].start as isize + doc.chunks[e_lo].base) as usize
-        };
-
-        // Token splice. Suffix spans are NOT shifted here (that is the
-        // point of the chunk bases); window spans are normalized lazily
-        // below, exactly as far as the window grows.
-        self.toks
-            .splice(relex.old_lo..relex.old_hi, relex.tokens.iter().copied());
-        self.kind_ids
-            .splice(relex.old_lo..relex.old_hi, relex.tokens.iter().map(|t| t.kind.0));
-        splice_lex_diags(doc, &relex, delta);
-        splice_tok_probes(doc, &relex, delta);
+        // Old-text byte of the window start, for splitting the diagnostic
+        // list.
+        let win_start_byte = doc.get(doc.chunk_tok_lo[e_lo]).start;
+        splice_lex_diags(doc, &relex, shift);
+        splice_tok_probes(doc, &relex, shift);
 
         // Drive the window, widening while the drive proves it too small
         // (worst case the window reaches EOF, where widening is
-        // impossible and the drive must settle). Before each attempt the
-        // window's tokens get absolute new-text spans (the engines and
-        // diagnostics only ever read spans inside the window).
+        // impossible and the drive must settle). The drive reads the
+        // session's token buffer: the window's tokens, copied there with
+        // absolute new-text spans (unedited tokens before the relexed run
+        // keep theirs, the relexed run is fresh, and tokens after it move
+        // by the edit's byte delta), and extended as far as the window
+        // grows. Token indices in the drive are window-relative.
         let wlo = doc.chunk_tok_lo[e_lo];
-        let fresh_lo = relex.old_lo;
-        let fresh_hi = relex.old_lo + relex.tokens.len();
-        let mut norm_hi = wlo;
+        let toks = &mut self.toks;
+        toks.clear();
+        self.kind_ids.clear();
+        doc.copy_tokens(wlo, relex.old_lo, 0, toks);
+        toks.extend_from_slice(&relex.tokens);
+        let mut copied_to = relex.old_hi; // old index the buffer reaches
         let mut win_syn: Vec<ParseError> = Vec::new();
         let drive = loop {
-            let whi_old = if e_hi == doc.chunks.len() { n_old } else { doc.chunk_tok_lo[e_hi] };
+            let whi_old = doc.chunk_start(e_hi);
             let whi = (whi_old as isize + tok_delta) as usize;
             if whi <= wlo && !(wlo == 0 && whi == n_new) {
                 // An empty window mid-document (mass deletion) must not
                 // run an empty-input parse; only the whole-document-empty
                 // case legitimately does.
-                e_hi = widen_right(&doc.chunks, e_hi + 1);
+                e_hi = widen_right(&doc.kinds, e_hi + 1);
                 continue;
             }
-            if whi > norm_hi {
-                normalize_spans(
-                    &mut self.toks,
-                    &doc.chunks,
-                    &doc.chunk_tok_lo,
-                    norm_hi,
-                    whi,
-                    fresh_lo,
-                    fresh_hi,
-                    tok_delta,
-                    delta,
-                );
-                norm_hi = whi;
-            }
+            doc.copy_tokens(copied_to, whi_old, delta, &mut self.toks);
+            copied_to = copied_to.max(whi_old);
+            let have = self.kind_ids.len();
+            self.kind_ids
+                .extend(self.toks[have..].iter().map(|t| t.kind.0));
             self.revents.clear();
             win_syn.clear();
-            let drive = self.drive_resilient(&doc.text, &doc.lines, wlo, whi, n_new, &mut win_syn);
+            let drive = self.drive_resilient(
+                &doc.text,
+                &doc.lines,
+                0,
+                whi - wlo,
+                n_new - wlo,
+                &mut win_syn,
+            );
             if drive.needs_widening {
-                e_hi = widen_right(&doc.chunks, e_hi + 1);
+                e_hi = widen_right(&doc.kinds, e_hi + 1);
                 continue;
             }
             break drive;
         };
-        let win_end_byte_old = if e_hi == doc.chunks.len() {
+        // Old-text byte of the first suffix chunk (not yet rebased).
+        let win_end_byte_old = if e_hi == doc.arenas.len() {
             usize::MAX
         } else {
-            // The suffix boundary token sits just past the normalized
-            // window, so its stored span is still old-text relative to its
-            // chunk: old byte = stored + the chunk's (un-rebased) base.
-            let t_new = (doc.chunk_tok_lo[e_hi] as isize + tok_delta) as usize;
-            (self.toks[t_new].start as isize + doc.chunks[e_hi].base) as usize
+            doc.get(doc.chunk_tok_lo[e_hi]).start
         };
-        let whi_old = if e_hi == doc.chunks.len() { n_old } else { doc.chunk_tok_lo[e_hi] };
-        let reparsed_tokens = ((whi_old as isize + tok_delta) as usize) - wlo;
+        let reparsed_tokens = self.toks.len();
 
         // Root wrapper: the first chunk's production. Unchanged while any
         // prefix element came from a chunk; otherwise the window's first
         // chunk. A window that parsed nothing while chunks survive in the
         // suffix would need the suffix chunk's (stripped) root — punt to a
         // full reparse rather than guess.
-        let prefix_has_chunk = doc.chunks[..e_lo].iter().any(|c| c.kind != ElemKind::Err);
+        let prefix_has_chunk = doc.kinds[..e_lo].iter().any(|&k| k != ElemKind::Err);
         let root = if prefix_has_chunk {
             doc.root
         } else if let Some(r) = drive.root {
             r
-        } else if doc.chunks[e_hi..].iter().any(|c| c.kind != ElemKind::Err) {
+        } else if doc.kinds[e_hi..].iter().any(|&k| k != ElemKind::Err) {
             return self.edit_fallback(doc);
         } else {
             (ERROR_NODE, 0)
         };
 
-        // Chunk splice: prefix and suffix chunks and their arenas survive
-        // verbatim (token indices are chunk-relative), the suffix absorbs
-        // the byte delta into its span bases, and the window's drive
-        // output is split into fresh chunks with fresh arenas.
-        let Some(new_elems) = split_elements(&self.revents, wlo) else {
+        // Chunk splice: prefix and suffix chunks survive verbatim, arenas
+        // and tokens both; the suffix absorbs the byte delta into its span
+        // bases and the token delta into its first token indices; the
+        // window's drive output becomes fresh chunks, each owning its
+        // tokens.
+        let Some(new_elems) = split_elements(&self.revents, 0) else {
             return self.edit_fallback(doc);
         };
-        let (new_chunks, new_arenas): (Vec<Chunk>, Vec<Arena>) = new_elems
+        let (new_arenas, new_bases): (Vec<Box<Arena>>, Vec<isize>) = new_elems
             .iter()
-            .map(|e| chunk_of_elem(&mut self.builder, &self.revents, e))
+            .map(|e| chunk_of_elem(&mut self.builder, &self.revents, &self.toks, e))
             .unzip();
+        let n_new_chunks = new_arenas.len();
+        doc.n_empty_chunks += new_arenas.iter().filter(|a| a.toks.is_empty()).count();
+        doc.n_empty_chunks -= doc.arenas[e_lo..e_hi]
+            .iter()
+            .filter(|a| a.toks.is_empty())
+            .count();
+        doc.arenas.splice(e_lo..e_hi, new_arenas);
+        doc.kinds
+            .splice(e_lo..e_hi, new_elems.iter().map(|e| e.kind));
+        doc.bases.splice(e_lo..e_hi, new_bases);
+        doc.chunk_tok_lo
+            .splice(e_lo..e_hi, new_elems.iter().map(|e| wlo + e.tok_lo));
+        let suffix = e_lo + n_new_chunks..;
         if delta != 0 {
-            for chunk in &mut doc.chunks[e_hi..] {
-                chunk.base += delta;
+            for b in &mut doc.bases[suffix.clone()] {
+                *b += delta;
             }
         }
-        let n_new_chunks = new_chunks.len();
-        doc.n_empty_chunks += new_chunks.iter().filter(|c| c.n_toks == 0).count();
-        doc.n_empty_chunks -=
-            doc.chunks[e_lo..e_hi].iter().filter(|c| c.n_toks == 0).count();
-        doc.chunks.splice(e_lo..e_hi, new_chunks);
-        doc.arenas.splice(e_lo..e_hi, new_arenas);
-        // `chunk_tok_lo` is repaired in place instead of recomputed: the
-        // window's entries are re-summed from its (unchanged) first token
-        // index, and the suffix shifts by the token delta — O(window +
-        // #chunks·[delta ≠ 0]) instead of O(#chunks) every edit.
-        let mut lo = wlo;
-        doc.chunk_tok_lo.splice(
-            e_lo..e_hi,
-            doc.chunks[e_lo..e_lo + n_new_chunks].iter().map(|c| {
-                let v = lo;
-                lo += c.n_toks;
-                v
-            }),
-        );
         if tok_delta != 0 {
-            for v in &mut doc.chunk_tok_lo[e_lo + n_new_chunks..] {
+            for v in &mut doc.chunk_tok_lo[suffix] {
                 *v = (*v as isize + tok_delta) as usize;
             }
         }
+        doc.n_toks = n_new;
         #[cfg(debug_assertions)]
-        {
-            let mut check = Vec::with_capacity(doc.chunks.len());
-            let mut acc = 0usize;
-            for c in &doc.chunks {
-                check.push(acc);
-                acc += c.n_toks;
-            }
-            debug_assert_eq!(check, doc.chunk_tok_lo, "incremental chunk_tok_lo repair drifted");
-            debug_assert_eq!(
-                doc.n_empty_chunks,
-                doc.chunks.iter().filter(|c| c.n_toks == 0).count(),
-                "incremental empty-chunk count drifted"
-            );
-        }
+        doc.check_storage();
         doc.root = root;
 
         // Diagnostic splice, the same three-way split in byte coordinates
@@ -1424,14 +1380,7 @@ impl<'p> ParseSession<'p> {
         let syn = Arc::make_mut(&mut doc.syn);
         let syn_lo = syn.partition_point(|e| e.at < win_start_byte);
         let syn_hi = syn.partition_point(|e| e.at < win_end_byte_old);
-        repair_suffix_diags(
-            &mut syn[syn_hi..],
-            &doc.text,
-            &doc.lines,
-            delta,
-            line_delta,
-            old_line_end,
-        );
+        repair_suffix_diags(&mut syn[syn_hi..], &doc.text, &doc.lines, shift);
         syn.splice(syn_lo..syn_hi, win_syn.drain(..));
 
         doc.last_edit = EditStats { reparsed_tokens, ..stats };
@@ -1855,7 +1804,7 @@ mod tests {
             doc.arenas
                 .iter()
                 .filter(|a| !before.contains(&a.addr()))
-                .map(Arena::len)
+                .map(|a| a.len())
                 .sum()
         }
         fn addrs(s: &ParseSession<'_>) -> HashSet<usize> {
@@ -1864,7 +1813,7 @@ mod tests {
                 .expect("document open")
                 .arenas
                 .iter()
-                .map(Arena::addr)
+                .map(|a| a.addr())
                 .collect()
         }
         let p = script_parser();
@@ -1917,6 +1866,66 @@ mod tests {
         let _ = s.try_document_outcome().expect("document open");
         assert_eq!(nodes_built() - n0, 0, "read after parse_tree");
         assert_incremental_identity(&mut s, &mut oracle, "after reads");
+    }
+
+    /// The token-locality gate: a keystroke writes (copies or
+    /// span-shifts) the document tokens of its reparse window and of at
+    /// most one boundary chunk, a bound set by the edit and not by the
+    /// document. On the 256 KiB `core` script of the integration keystroke
+    /// gate (`single_token_edit_reparses_locally`), 32 identifier
+    /// insertions within its first KiB each leave almost every token of
+    /// the document after them, which a flat token buffer moves on every
+    /// insertion that adds a token; a whitespace insertion after each
+    /// shifts the same suffix without replacing a token.
+    #[test]
+    fn keystrokes_write_only_their_window_and_boundary_tokens() {
+        use crate::tree::token_writes;
+        use sqlweave_bench::{composed, corpus::generate_script};
+        use sqlweave_dialects::Dialect;
+        let c = composed(Dialect::Core);
+        let p = Parser::new(c.grammar.clone(), &c.tokens).expect("core parser");
+        let script = generate_script(Dialect::Core, 0xED17, 256 * 1024);
+        let mut s = p.session();
+        let mut oracle = p.session();
+        s.open_document(&script);
+        let largest_chunk = |s: &ParseSession<'_>| {
+            let doc = s.inc.as_deref().expect("document open");
+            doc.arenas.iter().map(|a| a.toks.len()).max().unwrap_or(0)
+        };
+        let mut rng = XorShift(0x70c0_0000_0000_0001);
+        for edit in 0..32 {
+            let idents: Vec<usize> = s
+                .try_document_outcome()
+                .expect("document open")
+                .tree
+                .tokens()
+                .take_while(|t| t.start < 1024)
+                .filter(|t| p.scanner().name(t.kind) == "IDENT")
+                .map(|t| t.start)
+                .collect();
+            let pos = idents[rng.below(idents.len())];
+            let largest = largest_chunk(&s);
+            let before = token_writes();
+            let st = s.apply_edit(pos..pos, "x ").stats;
+            let wrote = token_writes() - before;
+            let ctx = format!("edit {edit} at {pos}: {st:?}");
+            assert!(!st.full_reparse, "{ctx}");
+            assert!(
+                wrote <= st.reparsed_tokens + largest,
+                "{ctx}: wrote {wrote} document tokens; window {}, largest chunk {largest}",
+                st.reparsed_tokens
+            );
+            let largest = largest_chunk(&s);
+            let before = token_writes();
+            let st = s.apply_edit(pos..pos, " ").stats;
+            let wrote = token_writes() - before;
+            assert_eq!(st.relexed_tokens, 0, "whitespace after edit {edit}: {st:?}");
+            assert!(
+                wrote <= largest,
+                "whitespace after edit {edit}: wrote {wrote}"
+            );
+        }
+        assert_incremental_identity(&mut s, &mut oracle, "after the insertions");
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! while the chunks around it are replaced or shifted. A tree from
 //! [`crate::session::ParseSession::parse_tree`] or
 //! [`crate::session::ParseSession::parse_resilient`] is the one-chunk
-//! case; a maintained document keeps one chunk per top-level statement
-//! and rebuilds only the chunks an edit reparses. Nothing in the tree
-//! owns a string — production names and alternative labels are resolved
-//! on demand against the parser's compiled tables, and token text is a
-//! zero-copy span into the original input.
+//! case, and reads its tokens straight from the scan's buffer. A
+//! maintained document keeps one chunk per top-level statement, and each
+//! chunk owns its tokens, stored relative to the chunk's span base, which
+//! the tree adds when it reads a token: so a chunk moves through the text
+//! untouched, and an edit rebuilds only the chunks it reparses. Nothing
+//! in the tree owns a string — production names and alternative labels
+//! are resolved on demand against the parser's compiled tables, and token
+//! text is a zero-copy span into the original input.
 //!
 //! The tree borrows the [`crate::session::ParseSession`] buffers it was
 //! built into (and the input), so a steady-state session parses with no
@@ -24,7 +27,7 @@
 use crate::cst::CstNode;
 use crate::engine::Parser;
 use crate::events::Event;
-use sqlweave_lexgen::Token;
+use sqlweave_lexgen::{Token, TokenKind};
 use std::fmt;
 
 /// Arena node: a nonterminal expansion with a contiguous child range.
@@ -38,10 +41,39 @@ pub(crate) struct NodeData {
 
 /// One child of a node: another node of the same arena (by arena-local
 /// id) or a token (by index relative to the arena's first token).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Element {
     Node(u32),
     Token(u32),
+}
+
+/// An [`Element`] as an arena stores it, in four bytes: the top bit marks
+/// a node.
+#[derive(Clone, Copy)]
+pub(crate) struct PackedElement(u32);
+
+const NODE_BIT: u32 = 1 << 31;
+
+impl PackedElement {
+    fn new(e: Element) -> PackedElement {
+        let (v, bit) = match e {
+            Element::Node(id) => (id, NODE_BIT),
+            Element::Token(t) => (t, 0),
+        };
+        assert!(
+            v < NODE_BIT,
+            "an arena holds fewer than 2^31 nodes and tokens"
+        );
+        PackedElement(v | bit)
+    }
+
+    fn get(self) -> Element {
+        if self.0 & NODE_BIT != 0 {
+            Element::Node(self.0 & !NODE_BIT)
+        } else {
+            Element::Token(self.0)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -50,6 +82,10 @@ thread_local! {
     /// work count the document read-locality gate pins (no other build
     /// has it).
     static NODES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Chunk token slots written on this thread (copied into a new chunk
+    /// or span-shifted in place), in test builds only: the exact work
+    /// count the keystroke token-locality gate pins.
+    static TOKEN_WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Arena nodes built on this thread so far (test builds only).
@@ -58,37 +94,120 @@ pub(crate) fn nodes_built() -> usize {
     NODES_BUILT.with(|c| c.get())
 }
 
-/// The node arena of one chunk: the rule expansions of a run of balanced
-/// subtrees and bare tokens.
+/// Chunk token slots written on this thread so far (test builds only).
+#[cfg(test)]
+pub(crate) fn token_writes() -> usize {
+    TOKEN_WRITES.with(|c| c.get())
+}
+
+/// A token as a document chunk stores it: 12 bytes, the span relative to
+/// the chunk's span base, which the chunk's owner keeps outside the
+/// chunk so that moving the chunk through the text touches no token.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkToken {
+    kind: u32,
+    start: u32,
+    end: u32,
+}
+
+impl ChunkToken {
+    /// `t` stored relative to `base`, which must not lie after it.
+    fn new(t: Token, base: usize) -> ChunkToken {
+        let rel = |x: usize| u32::try_from(x - base).expect("a chunk spans less than 4 GiB");
+        ChunkToken {
+            kind: t.kind.0,
+            start: rel(t.start),
+            end: rel(t.end),
+        }
+    }
+
+    /// The token with its true span, given its chunk's span base.
+    pub(crate) fn at(self, base: isize) -> Token {
+        Token {
+            kind: TokenKind(self.kind),
+            start: (base + self.start as isize) as usize,
+            end: (base + self.end as isize) as usize,
+        }
+    }
+}
+
+/// One chunk: the node arena of a run of balanced subtrees and bare
+/// tokens and, in a document, the tokens they cover.
 #[derive(Default)]
 pub(crate) struct Arena {
     nodes: Vec<NodeData>,
     /// Every node's child list, then (from `top` on) the chunk's own
     /// top-level elements, which are children of the tree's root.
-    elems: Vec<Element>,
+    elems: Vec<PackedElement>,
     top: u32,
+    /// A document chunk's tokens in order, stored relative to the span
+    /// base of its first token; empty in a standalone parse's arena,
+    /// whose tree reads the scan's buffer.
+    pub(crate) toks: Vec<ChunkToken>,
 }
 
 /// Scratch stacks for [`Arena::build`], reused across builds.
 #[derive(Default)]
 pub(crate) struct TreeBuilder {
     /// Children collected for the currently open expansions.
-    pending: Vec<Element>,
+    pending: Vec<PackedElement>,
     /// `(node id, pending mark)` per open expansion.
     open: Vec<(u32, usize)>,
 }
 
 impl Arena {
-    /// An arena built from `events` (see [`Arena::build`]), allocated at
-    /// its exact size.
-    pub(crate) fn from_events(b: &mut TreeBuilder, events: &[Event], tok_lo: u32) -> Arena {
-        let mut arena = Arena::default();
+    /// A document chunk built from `events` (see [`Arena::build`]) that
+    /// owns the tokens `toks` they cover, allocated at its exact size.
+    /// Returns the chunk with its span base: its first token's start.
+    pub(crate) fn from_events(
+        b: &mut TreeBuilder,
+        events: &[Event],
+        tok_lo: u32,
+        toks: &[Token],
+    ) -> (Arena, isize) {
+        #[cfg(test)]
+        TOKEN_WRITES.with(|c| c.set(c.get() + toks.len()));
+        let base = toks.first().map_or(0, |t| t.start);
+        let mut arena = Arena {
+            toks: toks.iter().map(|&t| ChunkToken::new(t, base)).collect(),
+            ..Arena::default()
+        };
         arena.build(b, events, tok_lo);
-        arena
+        (arena, base as isize)
     }
 
-    /// Rebuild this arena (capacity kept) from a sequence of balanced
-    /// subtrees and bare tokens whose token indices start at `tok_lo`.
+    /// Move the stored spans of this chunk's tokens from `from` on by
+    /// `delta` bytes. `from` is past the first token, whose span stays at
+    /// the chunk's base.
+    pub(crate) fn shift_spans(&mut self, from: usize, delta: isize) {
+        debug_assert!(from > 0, "the first token moves with the base");
+        let toks = &mut self.toks[from..];
+        #[cfg(test)]
+        TOKEN_WRITES.with(|c| c.set(c.get() + toks.len()));
+        let shift = |x: u32| {
+            u32::try_from(x as isize + delta).expect("a token stays after its chunk's first")
+        };
+        for t in toks {
+            t.start = shift(t.start);
+            t.end = shift(t.end);
+        }
+    }
+
+    /// Whether the chunk's first token sits at its base and every token
+    /// element indexes one of its tokens.
+    #[cfg(debug_assertions)]
+    pub(crate) fn tokens_consistent(&self) -> bool {
+        let n = self.toks.len();
+        self.toks.first().is_none_or(|t| t.start == 0)
+            && self
+                .elems
+                .iter()
+                .all(|e| !matches!(e.get(), Element::Token(t) if t as usize >= n))
+    }
+
+    /// Rebuild this arena's nodes (capacity kept) from a sequence of
+    /// balanced subtrees and bare tokens whose token indices start at
+    /// `tok_lo`; the tokens are left as they are.
     pub(crate) fn build(&mut self, b: &mut TreeBuilder, events: &[Event], tok_lo: u32) {
         let opens = events
             .iter()
@@ -113,7 +232,9 @@ impl Arena {
                     });
                     b.open.push((id, b.pending.len()));
                 }
-                Event::Token { index } => b.pending.push(Element::Token(index - tok_lo)),
+                Event::Token { index } => b
+                    .pending
+                    .push(PackedElement::new(Element::Token(index - tok_lo))),
                 Event::Close => {
                     let (id, mark) = b.open.pop().expect("unbalanced Close event");
                     let start = self.elems.len() as u32;
@@ -122,7 +243,7 @@ impl Arena {
                     node.elems_start = start;
                     node.elems_end = self.elems.len() as u32;
                     b.pending.truncate(mark);
-                    b.pending.push(Element::Node(id));
+                    b.pending.push(PackedElement::new(Element::Node(id)));
                 }
             }
         }
@@ -138,12 +259,12 @@ impl Arena {
         self.nodes.len()
     }
 
-    fn children(&self, id: u32) -> &[Element] {
+    fn children(&self, id: u32) -> &[PackedElement] {
         let node = &self.nodes[id as usize];
         &self.elems[node.elems_start as usize..node.elems_end as usize]
     }
 
-    fn top(&self) -> &[Element] {
+    fn top(&self) -> &[PackedElement] {
         &self.elems[self.top as usize..]
     }
 
@@ -155,38 +276,83 @@ impl Arena {
     }
 }
 
-/// A materialized parse: a root expansion over chunk arenas, the token
-/// stream and the input, with names resolved against the parser that
-/// produced it.
+/// A materialized parse: a root expansion over chunk arenas, their tokens
+/// and the input, with names resolved against the parser that produced
+/// it.
 pub struct SyntaxTree<'a> {
     parser: &'a Parser,
     input: &'a str,
-    toks: &'a [Token],
     /// `(prod, alt)` of the root, whose children are the chunks' top-level
     /// elements in order.
     root: (u32, u32),
-    chunks: &'a [Arena],
+    chunks: &'a [Box<Arena>],
     /// First absolute token index of each chunk.
     tok_lo: &'a [usize],
+    /// Span base of each chunk, added to its tokens' stored spans on read.
+    bases: &'a [isize],
+    /// Tokens over all chunks.
+    n_toks: usize,
+    /// The tokens of a standalone parse's one chunk, straight from the
+    /// scan (absolute spans); empty for a document, whose chunks own
+    /// theirs.
+    flat: &'a [Token],
 }
 
 impl<'a> SyntaxTree<'a> {
     pub(crate) fn new(
         parser: &'a Parser,
         input: &'a str,
-        toks: &'a [Token],
         root: (u32, u32),
-        chunks: &'a [Arena],
+        chunks: &'a [Box<Arena>],
         tok_lo: &'a [usize],
+        bases: &'a [isize],
+        n_toks: usize,
     ) -> SyntaxTree<'a> {
         debug_assert_eq!(chunks.len(), tok_lo.len());
+        debug_assert_eq!(chunks.len(), bases.len());
         SyntaxTree {
             parser,
             input,
-            toks,
             root,
             chunks,
             tok_lo,
+            bases,
+            n_toks,
+            flat: &[],
+        }
+    }
+
+    /// The one-chunk tree of a standalone parse, over the scan's tokens.
+    /// (The chunk is borrowed boxed because the tree reads its chunks as a
+    /// slice of boxes.)
+    #[allow(clippy::borrowed_box)]
+    pub(crate) fn single(
+        parser: &'a Parser,
+        input: &'a str,
+        root: (u32, u32),
+        chunk: &'a Box<Arena>,
+        toks: &'a [Token],
+    ) -> SyntaxTree<'a> {
+        SyntaxTree {
+            flat: toks,
+            ..SyntaxTree::new(
+                parser,
+                input,
+                root,
+                std::slice::from_ref(chunk),
+                &[0],
+                &[0],
+                toks.len(),
+            )
+        }
+    }
+
+    /// Token `i` of chunk `c`, with its true span.
+    fn token(&self, c: usize, i: u32) -> Token {
+        if self.flat.is_empty() {
+            self.chunks[c].toks[i as usize].at(self.bases[c])
+        } else {
+            self.flat[i as usize]
         }
     }
 
@@ -204,20 +370,27 @@ impl<'a> SyntaxTree<'a> {
         self.input
     }
 
-    /// All scanned (non-skip) tokens, in order.
-    pub fn tokens(&self) -> &'a [Token] {
-        self.toks
+    /// All scanned (non-skip) tokens in order, with absolute spans.
+    pub fn tokens(&self) -> impl ExactSizeIterator<Item = Token> + 'a {
+        Tokens {
+            flat: self.flat.iter(),
+            chunks: self.chunks.iter(),
+            bases: self.bases.iter(),
+            cur: [].iter(),
+            base: 0,
+            left: self.n_toks,
+        }
     }
 
     /// Total nodes in the seed counting convention: rule expansions plus
     /// token leaves (matches [`CstNode::node_count`]).
     pub fn node_count(&self) -> usize {
-        self.rule_count() + self.toks.len()
+        self.rule_count() + self.n_toks
     }
 
     /// Rule expansions only.
     pub fn rule_count(&self) -> usize {
-        1 + self.chunks.iter().map(Arena::len).sum::<usize>()
+        1 + self.chunks.iter().map(|a| a.len()).sum::<usize>()
     }
 
     /// Convert to the seed owning CST representation. This is the only
@@ -236,8 +409,8 @@ impl<'a> SyntaxTree<'a> {
     }
 
     /// The cursor for element `e` of chunk `chunk`.
-    fn element<'t>(&'t self, chunk: usize, e: Element) -> SyntaxElement<'a, 't> {
-        match e {
+    fn element<'t>(&'t self, chunk: usize, e: PackedElement) -> SyntaxElement<'a, 't> {
+        match e.get() {
             Element::Node(id) => SyntaxElement::Node(SyntaxNode {
                 tree: self,
                 chunk: chunk as u32,
@@ -245,11 +418,49 @@ impl<'a> SyntaxTree<'a> {
             }),
             Element::Token(t) => SyntaxElement::Token(SyntaxToken {
                 tree: self,
-                index: self.tok_lo[chunk] as u32 + t,
+                chunk: chunk as u32,
+                local: t,
             }),
         }
     }
 }
+
+/// [`SyntaxTree::tokens`]: a standalone parse's scanned tokens, or each
+/// document chunk's tokens in turn, rebased by the chunk's span base.
+struct Tokens<'a> {
+    flat: std::slice::Iter<'a, Token>,
+    chunks: std::slice::Iter<'a, Box<Arena>>,
+    bases: std::slice::Iter<'a, isize>,
+    /// The rest of the current chunk's tokens, and its base.
+    cur: std::slice::Iter<'a, ChunkToken>,
+    base: isize,
+    left: usize,
+}
+
+impl Iterator for Tokens<'_> {
+    type Item = Token;
+
+    fn next(&mut self) -> Option<Token> {
+        loop {
+            if let Some(&t) = self.flat.next() {
+                self.left -= 1;
+                return Some(t);
+            }
+            if let Some(&t) = self.cur.next() {
+                self.left -= 1;
+                return Some(t.at(self.base));
+            }
+            self.cur = self.chunks.next()?.toks.iter();
+            self.base = *self.bases.next()?;
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Tokens<'_> {}
 
 /// Chunk of the root cursor, which lives in no arena.
 const ROOT: u32 = u32::MAX;
@@ -352,8 +563,7 @@ impl<'a> SyntaxTree<'a> {
     /// `symbols.len() / interner.len()` is the dedupe factor the bench
     /// reports.
     pub fn intern_tokens(&self, interner: &mut TokenInterner) -> Vec<Sym> {
-        self.toks
-            .iter()
+        self.tokens()
             .map(|t| interner.intern(t.text(self.input)))
             .collect()
     }
@@ -364,7 +574,7 @@ impl fmt::Debug for SyntaxTree<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SyntaxTree")
             .field("rules", &self.rule_count())
-            .field("tokens", &self.toks.len())
+            .field("tokens", &self.n_toks)
             .finish_non_exhaustive()
     }
 }
@@ -383,8 +593,10 @@ pub struct SyntaxNode<'a, 't> {
 #[derive(Clone, Copy)]
 pub struct SyntaxToken<'a, 't> {
     tree: &'t SyntaxTree<'a>,
-    /// Absolute index into the tree's token stream.
-    index: u32,
+    /// The chunk that owns the token.
+    chunk: u32,
+    /// Index of the token among its chunk's tokens.
+    local: u32,
 }
 
 /// A child of a node: rule expansion or token leaf.
@@ -453,7 +665,7 @@ impl<'a, 't> SyntaxNode<'a, 't> {
     /// The children as `(chunk, elements)` runs: the root's children are
     /// the top-level elements of every chunk, any other node's are one
     /// slice of its own chunk.
-    fn child_runs(&self) -> impl DoubleEndedIterator<Item = (usize, &'t [Element])> + 't {
+    fn child_runs(&self) -> impl DoubleEndedIterator<Item = (usize, &'t [PackedElement])> + 't {
         let tree = self.tree;
         let (chunks, id) = match self.chunk {
             ROOT => (0..tree.chunks.len(), None),
@@ -529,10 +741,10 @@ impl<'a, 't> SyntaxNode<'a, 't> {
         let mut children = Vec::with_capacity(self.child_runs().map(|(_, e)| e.len()).sum());
         for (c, elems) in self.child_runs() {
             for &e in elems {
-                children.push(match e {
+                children.push(match e.get() {
                     Element::Node(id) => SyntaxNode { tree, chunk: c as u32, id }.to_cst(),
                     Element::Token(t) => {
-                        let tok = &tree.toks[tree.tok_lo[c] + t as usize];
+                        let tok = tree.token(c, t);
                         CstNode::Token {
                             kind: tree.parser.scanner().name(tok.kind).to_string(),
                             text: tok.text(tree.input).to_string(),
@@ -572,24 +784,29 @@ impl<'a, 't> SyntaxNode<'a, 't> {
 }
 
 impl<'a, 't> SyntaxToken<'a, 't> {
+    /// The token with its true span.
+    fn token(&self) -> Token {
+        self.tree.token(self.chunk as usize, self.local)
+    }
+
     /// Token rule name (e.g. `SELECT`, `IDENT`).
     pub fn kind_name(&self) -> &'a str {
-        self.tree.parser.scanner().name(self.tree.toks[self.index as usize].kind)
+        self.tree.parser.scanner().name(self.token().kind)
     }
 
     /// Index of this token in the scanned token stream.
     pub fn index(&self) -> usize {
-        self.index as usize
+        self.tree.tok_lo[self.chunk as usize] + self.local as usize
     }
 
     /// The lexeme, borrowed from the input.
     pub fn text(&self) -> &'a str {
-        self.tree.toks[self.index as usize].text(self.tree.input)
+        self.token().text(self.tree.input)
     }
 
     /// Byte span in the original input.
     pub fn span(&self) -> (usize, usize) {
-        let t = &self.tree.toks[self.index as usize];
+        let t = self.token();
         (t.start, t.end)
     }
 }
@@ -732,6 +949,10 @@ mod tests {
         assert_eq!(tree.root().span(), tree.to_cst().span());
     }
 
+    fn unpack(elems: &[PackedElement]) -> Vec<Element> {
+        elems.iter().map(|e| e.get()).collect()
+    }
+
     #[test]
     fn builder_roundtrips_nested_events() {
         let events = [
@@ -744,18 +965,17 @@ mod tests {
             Event::Token { index: 3 },
             Event::Close,
         ];
-        let arena = Arena::from_events(&mut TreeBuilder::default(), &events, 0);
-        assert!(matches!(arena.top(), [Element::Node(0)]));
+        let (arena, _) = Arena::from_events(&mut TreeBuilder::default(), &events, 0, &[]);
+        assert_eq!(unpack(arena.top()), [Element::Node(0)]);
         assert_eq!((arena.nodes[0].prod, arena.nodes[0].alt), (0, 0));
-        let kids = arena.children(0);
-        assert!(matches!(
-            kids,
+        assert_eq!(
+            unpack(arena.children(0)),
             [Element::Token(0), Element::Node(1), Element::Token(3)]
-        ));
-        assert!(matches!(
-            arena.children(1),
+        );
+        assert_eq!(
+            unpack(arena.children(1)),
             [Element::Token(1), Element::Token(2)]
-        ));
+        );
     }
 
     #[test]
@@ -776,20 +996,20 @@ mod tests {
             Event::Close,
         ];
         let mut b = TreeBuilder::default();
-        let mut arena = Arena::from_events(&mut b, &events, 5);
+        let (mut arena, _) = Arena::from_events(&mut b, &events, 5, &[]);
         assert_eq!(arena.len(), 2);
-        assert!(matches!(
-            arena.top(),
+        assert_eq!(
+            unpack(arena.top()),
             [Element::Node(0), Element::Token(2), Element::Node(1)]
-        ));
-        assert!(matches!(
-            arena.children(0),
+        );
+        assert_eq!(
+            unpack(arena.children(0)),
             [Element::Token(0), Element::Token(1)]
-        ));
-        assert!(matches!(arena.children(1), [Element::Token(3)]));
+        );
+        assert_eq!(unpack(arena.children(1)), [Element::Token(3)]);
         // a rebuild replaces the old contents
         arena.build(&mut b, &events[4..5], 7);
         assert_eq!(arena.len(), 0);
-        assert!(matches!(arena.top(), [Element::Token(0)]));
+        assert_eq!(unpack(arena.top()), [Element::Token(0)]);
     }
 }

@@ -66,12 +66,17 @@ fn assert_spans_match(node: SyntaxNode<'_, '_>, cst: &CstNode, ctx: &str) {
 
 /// `SyntaxNode::span` equals `CstNode::span` on every node of every corpus
 /// statement's tree, and of each corpus opened as one document, whose root
-/// spans many statement chunks.
+/// spans many statement chunks. The document is then read after edits
+/// that leave non-zero chunk span bases behind — a token-preserving
+/// insertion in front of every chunk, a reparsed one inside the first
+/// statement, and its removal — and each read must give the spans and the
+/// CST of a from-scratch `parse_resilient` of the edited text.
 #[test]
 fn node_spans_match_cst_spans_on_every_corpus() {
     for d in Dialect::ALL {
         let p = parser(d);
         let mut session = p.session();
+        let mut oracle = p.session();
         for stmt in corpus(d) {
             let tree = session
                 .parse_tree(stmt)
@@ -82,13 +87,29 @@ fn node_spans_match_cst_spans_on_every_corpus() {
                 &format!("{} {stmt:?}", d.name()),
             );
         }
-        session.open_document(&corpus(d).join(";\n"));
+        let text = corpus(d).join(";\n");
+        session.open_document(&text);
         let outcome = session.try_document_outcome().expect("document open");
         assert_spans_match(
             outcome.tree.root(),
             &outcome.tree.to_cst(),
             &format!("{} document", d.name()),
         );
+        drop(outcome);
+        let word_end = text.find(' ').expect("corpus statements have spaces");
+        for (what, at, cut, rep) in [
+            ("leading newline", 0, 0, "\n  "),
+            ("identifier glued to the first word", word_end + 3, 0, "x"),
+            ("glued identifier removed", word_end + 3, 1, ""),
+        ] {
+            session.apply_edit(at..at + cut, rep);
+            let edited = session.document().to_string();
+            let fresh = oracle.parse_resilient(&edited).tree.to_cst();
+            let outcome = session.try_document_outcome().expect("document open");
+            let ctx = format!("{} document after {what}", d.name());
+            assert_spans_match(outcome.tree.root(), &fresh, &ctx);
+            assert_eq!(outcome.tree.to_cst(), fresh, "{ctx}");
+        }
     }
 }
 

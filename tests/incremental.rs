@@ -57,7 +57,7 @@ fn check_edit(
             tree.to_cst(),
             errs,
             tree.node_count(),
-            tree.tokens().to_vec(),
+            tree.tokens().collect(),
         )
     };
     let text = s.document().to_string();
@@ -67,7 +67,7 @@ fn check_edit(
             o.tree.to_cst(),
             o.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>(),
             o.tree.node_count(),
-            o.tree.tokens().to_vec(),
+            o.tree.tokens().collect::<Vec<_>>(),
         )
     };
     assert_eq!(inc_errs, full_errs, "diagnostics diverged: {ctx}\ntext: {text:?}");
