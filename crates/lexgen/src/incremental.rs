@@ -24,21 +24,31 @@
 //! munches (lexical errors), which have no accepting state to anchor any
 //! bound. Both exact-frontier sets are supplied by the caller from
 //! previous scans.
+//!
+//! The relex runs in two steps. [`Scanner::relex_restart`] finds the
+//! restart from old positions alone, so a caller can run it before it
+//! touches its text, and park its text's gap (see
+//! [`crate::text::TextView`]) there: no token spans a scan boundary, and
+//! [`Scanner::relex_from`] then scans one contiguous suffix of the edited
+//! text.
 
 use crate::compiled;
 use crate::line_index::LineIndex;
 use crate::scanner::{LexError, Scanner, Token, TokenKind};
+use crate::split_vec::{Anchored, SplitVec};
+use crate::text::TextView;
 
 /// Random access to the previous scan's token stream, spans in old-text
 /// byte coordinates.
 ///
-/// [`Scanner::relex`] is generic over this so incremental callers that
-/// keep token spans in a rebased representation (true span = stored span
-/// plus a per-chunk base offset, so a suffix shift after an edit is
-/// O(#chunks) instead of O(#tokens)) can answer the relex's span queries on demand:
-/// the relex only reads O(log n) tokens through binary searches plus the
-/// damaged window itself, so no caller needs to materialize absolute
-/// spans for the whole stream first.
+/// [`Scanner::relex_restart`] and [`Scanner::relex_from`] are generic over
+/// this so incremental callers that keep token spans in a rebased
+/// representation (true span = stored span plus a per-chunk base offset,
+/// so a suffix shift after an edit is O(#chunks) instead of O(#tokens))
+/// can answer the relex's span queries on demand: the relex only reads
+/// O(log n) tokens through binary searches plus the damaged window itself,
+/// so no caller needs to materialize absolute spans for the whole stream
+/// first.
 pub trait TokenSource {
     /// Number of tokens in the stream.
     fn len(&self) -> usize;
@@ -104,7 +114,83 @@ pub struct RawStep {
     pub probe: usize,
 }
 
-/// The result of [`Scanner::relex`]: a splice of the old token stream.
+/// The recorded probe frontier of one probe-unbounded token, as a
+/// [`ProbeCache`] stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    /// Start of the token.
+    pub at: usize,
+    /// Exclusive probe frontier of its munch (`usize::MAX` = observed end
+    /// of input).
+    pub frontier: usize,
+    /// Largest frontier of this entry and every entry before it; kept
+    /// before the cache's split, where the restart search reads it.
+    reach: usize,
+}
+
+impl Probe {
+    /// The frontier `frontier` of the token starting at `at`.
+    pub fn new(at: usize, frontier: usize) -> Probe {
+        Probe {
+            at,
+            frontier,
+            reach: frontier,
+        }
+    }
+}
+
+impl Anchored for Probe {
+    fn anchor(&self) -> usize {
+        self.at
+    }
+
+    fn mirror(self, len: usize) -> Probe {
+        Probe {
+            at: len - self.at,
+            frontier: if self.frontier == usize::MAX {
+                usize::MAX
+            } else {
+                len - self.frontier
+            },
+            reach: self.reach,
+        }
+    }
+
+    fn link(self, prev: Option<&Probe>) -> Probe {
+        Probe {
+            reach: prev.map_or(self.frontier, |p| p.reach.max(self.frontier)),
+            ..self
+        }
+    }
+}
+
+/// The probe frontiers of a document's probe-unbounded tokens, ascending
+/// by token start: the cache [`Scanner::token_probes`] builds and
+/// [`Scanner::relex_restart`] reads. Stored split at the last edit, so an
+/// edit shifts none of the entries after it, with a running maximum of the
+/// frontiers before the split, so the restart search is a binary search.
+pub type ProbeCache = SplitVec<Probe>;
+
+impl ProbeCache {
+    /// Apply `relex` to the cache: the entries before its restart stay,
+    /// those of the rescanned window are replaced by
+    /// [`Relex::tok_probes`], and those past its resync point stay as they
+    /// are stored, after the split, where they move with the end of the
+    /// text. `new_text_len` is the length of the edited text.
+    pub fn splice(&mut self, relex: &Relex, new_text_len: usize) {
+        self.move_split(|at| at < relex.start_byte);
+        match relex.resync_old {
+            Some(q) => self.remove_after_split(|at| at < q),
+            None => self.remove_after_split(|_| true),
+        };
+        self.set_text_len(new_text_len);
+        for &(at, frontier) in &relex.tok_probes {
+            self.push(Probe::new(at, frontier));
+        }
+    }
+}
+
+/// The result of [`Scanner::relex_from`]: a splice of the old token stream.
 ///
 /// Old tokens `old_lo..old_hi` are replaced by `tokens` (spans already in
 /// new-text coordinates); old tokens before `old_lo` are untouched, old
@@ -225,50 +311,37 @@ impl Scanner {
     }
 
     /// Exact probe frontiers, via [`Scanner::step_raw`], of every token
-    /// in `toks` whose kind is probe-unbounded, as ascending
-    /// `(token_start, frontier)` pairs — the per-document cache an
-    /// incremental caller feeds back to [`Scanner::relex`] as
-    /// `old_tok_probes` on later edits.
-    pub fn token_probes(&self, text: &str, toks: &[Token]) -> Vec<(usize, usize)> {
-        toks.iter()
+    /// in `toks` (scanned from `text`) whose kind is probe-unbounded — the
+    /// per-document cache an incremental caller passes to
+    /// [`Scanner::relex_restart`] on later edits and maintains from
+    /// [`Relex::tok_probes`].
+    pub fn token_probes(&self, text: &str, toks: &[Token]) -> ProbeCache {
+        let probes = toks
+            .iter()
             .filter(|t| self.kind_probe_unbounded(t.kind))
-            .map(|t| (t.start, self.step_raw(text, t.start).probe))
-            .collect()
+            .map(|t| Probe::new(t.start, self.step_raw(text, t.start).probe))
+            .collect();
+        ProbeCache::new(probes, text.len())
     }
 
-    /// Relex the damage region of an edit that replaced old-text bytes
-    /// `edit_start..edit_old_end` (the replacement now occupies new-text
-    /// bytes `edit_start..edit_new_end`).
+    /// Where the relex of an edit starting at old-text byte `edit_start`
+    /// restarts: the latest old scan boundary before the edit where every
+    /// earlier match and failure provably never examined an edited byte.
     ///
-    /// `old_toks` is the previous full token stream (spans in the
-    /// pre-edit text, whose byte length is `old_text_len` — the restart
-    /// and resync logic compares old *positions*, never old bytes, so a
-    /// caller may splice its text buffer in place before calling),
-    /// `old_errors` the previous lexical errors as `(position, probe)`
-    /// pairs in ascending position order, and `old_tok_probes` the
-    /// recorded frontiers of the previous probe-unbounded tokens
-    /// (ascending `(token_start, frontier)` pairs, as produced by
-    /// [`Scanner::token_probes`] and maintained across edits from
-    /// [`Relex::tok_probes`]). `new_lines` must already be the line index
-    /// of `new_text`. The scan restarts at the latest boundary where
-    /// every earlier match and failure provably never examined an edited
-    /// byte, and stops at the first old scan boundary at or past the edit
-    /// (token start, error position, or end of input).
-    #[allow(clippy::too_many_arguments)]
-    pub fn relex<S: TokenSource + ?Sized>(
+    /// Reads old positions only, never text: `old_toks` is the previous
+    /// full token stream, `old_errors` the previous lexical errors as
+    /// `(position, probe)` pairs in ascending position order, and
+    /// `old_tok_probes` the part before the split of the document's
+    /// [`ProbeCache`], which must hold every entry that starts before
+    /// `edit_start`. Its leftmost frontier that reaches the edit is found
+    /// by a binary search over the running maximum of the frontiers.
+    pub fn relex_restart<S: TokenSource + ?Sized>(
         &self,
-        old_text_len: usize,
-        new_text: &str,
-        new_lines: &LineIndex,
         old_toks: &S,
         old_errors: &[(usize, usize)],
-        old_tok_probes: &[(usize, usize)],
+        old_tok_probes: &[Probe],
         edit_start: usize,
-        edit_old_end: usize,
-        edit_new_end: usize,
-    ) -> Relex {
-        debug_assert!(edit_start <= edit_old_end && edit_old_end <= old_text_len);
-        debug_assert!(edit_start <= edit_new_end && edit_new_end <= new_text.len());
+    ) -> usize {
         // A bounded-rule match ending more than `bm` bytes before the
         // edit died before reaching it; token ends are ascending, so the
         // candidate prefix is a partition. Restart at the end of the last
@@ -288,15 +361,13 @@ impl Scanner {
         // Matches of probe-unbounded rules carry exact recorded
         // frontiers; the first (leftmost) one that observed an edited
         // byte caps the restart, and rescanning every later one keeps
-        // the cache splice sound. Ascending order makes the first
-        // violator below the current restart the only one that matters.
-        for &(at, probe) in old_tok_probes {
-            if at >= start_byte {
-                break;
-            }
-            if probe > edit_start {
-                start_byte = at;
-                break;
+        // the cache splice sound. It is the first entry whose running
+        // maximum passes the edit, and it matters only below the current
+        // restart.
+        let first = old_tok_probes.partition_point(|p| p.reach <= edit_start);
+        if let Some(p) = old_tok_probes.get(first) {
+            if p.at < start_byte {
+                start_byte = p.at;
             }
         }
         // Failed munches have no accept to anchor the overhang bound; use
@@ -306,6 +377,48 @@ impl Scanner {
                 start_byte = at;
             }
         }
+        start_byte
+    }
+
+    /// Relex the damage region of an edit that replaced old-text bytes
+    /// `edit_start..edit_old_end` (the replacement now occupies new-text
+    /// bytes `edit_start..edit_new_end`), from `start_byte`, the
+    /// [`Scanner::relex_restart`] of the edit.
+    ///
+    /// `new_text` is the edited text; the scan reads it from `start_byte`
+    /// on as one piece, so its split lies at or before `start_byte`, or
+    /// its second piece is empty (a plain `&str`).
+    /// `new_lines` must already be its line index. `old_toks` and
+    /// `old_errors` are as for [`Scanner::relex_restart`]: the restart and
+    /// resync logic compares old *positions*, never old bytes, so a
+    /// caller may edit its text in place before calling. The scan stops at
+    /// the first old scan boundary at or past the edit (token start, error
+    /// position, or end of input).
+    #[allow(clippy::too_many_arguments)]
+    pub fn relex_from<S: TokenSource + ?Sized>(
+        &self,
+        start_byte: usize,
+        new_text: TextView<'_>,
+        new_lines: &LineIndex,
+        old_toks: &S,
+        old_errors: &[(usize, usize)],
+        edit_start: usize,
+        edit_old_end: usize,
+        edit_new_end: usize,
+    ) -> Relex {
+        debug_assert!(start_byte <= edit_start && edit_start <= edit_old_end);
+        debug_assert!(edit_start <= edit_new_end && edit_new_end <= new_text.len());
+        // The scan reads one piece: byte `p` of the text is byte
+        // `p - start_byte` of `suffix`.
+        let suffix = new_text.suffix(start_byte);
+        let munch = |pos: usize| {
+            let s = self.step_raw(suffix, pos - start_byte);
+            RawStep {
+                end: s.end.map(|e| e + start_byte),
+                probe: s.probe.saturating_add(start_byte),
+                ..s
+            }
+        };
         let old_lo = partition(old_toks, |t| t.start < start_byte);
 
         let delta = edit_new_end as isize - edit_old_end as isize;
@@ -329,7 +442,7 @@ impl Scanner {
                     break;
                 }
             }
-            let step = self.step_raw(new_text, pos);
+            let step = munch(pos);
             match step.end {
                 Some(end) => {
                     if let Some(kind) = step.kind {
@@ -341,7 +454,7 @@ impl Scanner {
                     pos = end;
                 }
                 None => {
-                    let found = new_text[pos..].chars().next();
+                    let found = new_text.char_at(pos);
                     let (line, column) = new_lines.line_col(new_text, pos);
                     errors.push(LexError { at: pos, line, column, found });
                     err_probes.push(step.probe);
@@ -392,6 +505,7 @@ impl Scanner {
 mod tests {
     use super::*;
     use crate::tokenset::TokenSet;
+    use proptest::prelude::*;
 
     fn sql_scanner() -> Scanner {
         let mut ts = TokenSet::new();
@@ -405,6 +519,31 @@ mod tests {
         ts.skip("WS", "[ \\t\\r\\n]+").unwrap();
         ts.skip("LINE_COMMENT", "--[^\\n]*").unwrap();
         ts.build().unwrap()
+    }
+
+    /// Both relex steps, over a new text in one piece.
+    #[allow(clippy::too_many_arguments)]
+    fn relex<S: TokenSource + ?Sized>(
+        s: &Scanner,
+        new_text: &str,
+        new_lines: &LineIndex,
+        old_toks: &S,
+        old_errors: &[(usize, usize)],
+        old_tok_probes: &[Probe],
+        edit: (usize, usize, usize),
+    ) -> Relex {
+        let (start, old_end, new_end) = edit;
+        let restart = s.relex_restart(old_toks, old_errors, old_tok_probes, start);
+        s.relex_from(
+            restart,
+            new_text.into(),
+            new_lines,
+            old_toks,
+            old_errors,
+            start,
+            old_end,
+            new_end,
+        )
     }
 
     /// Apply `relex` and reassemble the full token stream + errors, for
@@ -430,16 +569,14 @@ mod tests {
 
         let new_lines = LineIndex::new(&new_text);
         let delta = (start + rep.len()) as isize - old_end as isize;
-        let r = s.relex(
-            old_text.len(),
+        let r = relex(
+            s,
             &new_text,
             &new_lines,
             &old_toks,
             &old_err_probes,
-            &old_tok_probes,
-            start,
-            old_end,
-            start + rep.len(),
+            old_tok_probes.head(),
+            (start, old_end, start + rep.len()),
         );
 
         let mut toks: Vec<Token> = old_toks[..r.old_lo].to_vec();
@@ -618,8 +755,14 @@ mod tests {
         let mut new = old.to_string();
         new.replace_range(edit.., "v");
         let new_lines = LineIndex::new(&new);
-        let r = s.relex(
-            old.len(), &new, &new_lines, &old_toks, &[], &probes, edit, old.len(), old.len(),
+        let r = relex(
+            &s,
+            &new,
+            &new_lines,
+            &old_toks,
+            &[],
+            probes.head(),
+            (edit, old.len(), old.len()),
         );
         assert!(
             r.start_byte + bm >= edit,
@@ -671,10 +814,9 @@ mod tests {
             new.push_str(&old[old_end..]);
             let lines = LineIndex::new(&new);
             let new_end = start + rep.len();
-            let flat =
-                s.relex(old.len(), &new, &lines, &old_toks, &[], &[], start, old_end, new_end);
-            let reb =
-                s.relex(old.len(), &new, &lines, &rebased, &[], &[], start, old_end, new_end);
+            let edit = (start, old_end, new_end);
+            let flat = relex(&s, &new, &lines, &old_toks, &[], &[], edit);
+            let reb = relex(&s, &new, &lines, &rebased, &[], &[], edit);
             assert_eq!(flat.old_lo, reb.old_lo, "edit {start}..{old_end}");
             assert_eq!(flat.old_hi, reb.old_hi, "edit {start}..{old_end}");
             assert_eq!(flat.tokens, reb.tokens, "edit {start}..{old_end}");
@@ -682,6 +824,113 @@ mod tests {
             assert_eq!(flat.resync_old, reb.resync_old, "edit {start}..{old_end}");
         }
     }
+
+    /// The restart search as a linear walk over the probe cache's
+    /// `(start, frontier)` pairs: the differential oracle of
+    /// [`Scanner::relex_restart`]'s binary search.
+    fn restart_linear(
+        s: &Scanner,
+        old_toks: &[Token],
+        old_errors: &[(usize, usize)],
+        old_tok_probes: &[(usize, usize)],
+        edit_start: usize,
+    ) -> usize {
+        let mut start_byte = match s.bounded_overhang_bytes() {
+            Some(bm) => {
+                let safe = old_toks.partition_point(|t| t.end.saturating_add(bm) <= edit_start);
+                if safe == 0 {
+                    0
+                } else {
+                    old_toks[safe - 1].end
+                }
+            }
+            None => 0,
+        };
+        for &(at, probe) in old_tok_probes {
+            if at >= start_byte {
+                break;
+            }
+            if probe > edit_start {
+                start_byte = at;
+                break;
+            }
+        }
+        for &(at, probe) in old_errors {
+            if at < start_byte && probe > edit_start {
+                start_byte = at;
+            }
+        }
+        start_byte
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Edit sequences over string-heavy text: at every edit the binary
+        /// search over the maintained probe cache restarts at exactly the
+        /// byte the linear walk picks, and after every edit the cache,
+        /// maintained by [`ProbeCache::splice`] wherever the split was
+        /// left, equals a cache rebuilt from a fresh scan.
+        #[test]
+        fn restart_search_matches_the_linear_walk(
+            pieces in prop::collection::vec(prop::sample::select(PIECES.to_vec()), 1..24),
+            edits in prop::collection::vec(
+                (0usize..400, 0usize..6, prop::sample::select(PIECES.to_vec())),
+                1..10,
+            ),
+        ) {
+            let s = sql_scanner();
+            let mut text: String = pieces.concat();
+            let mut toks = Vec::new();
+            let errs = s.scan_resilient_into(&text, &mut toks);
+            let mut err_probes: Vec<(usize, usize)> =
+                errs.iter().map(|e| (e.at, s.step_raw(&text, e.at).probe)).collect();
+            let mut cache = s.token_probes(&text, &toks);
+            for (step, (at, cut, rep)) in edits.into_iter().enumerate() {
+                let mut start = at % (text.len() + 1);
+                while !text.is_char_boundary(start) {
+                    start -= 1;
+                }
+                let mut end = (start + cut).min(text.len());
+                while !text.is_char_boundary(end) {
+                    end -= 1;
+                }
+                let ctx = format!("step {step}: {start}..{end} := {rep:?} on {text:?}");
+                cache.move_split(|p| p < start);
+                let restart = s.relex_restart(&toks, &err_probes, cache.head(), start);
+                let pairs: Vec<(usize, usize)> = cache.iter().map(|p| (p.at, p.frontier)).collect();
+                prop_assert_eq!(
+                    restart,
+                    restart_linear(&s, &toks, &err_probes, &pairs, start),
+                    "restart byte: {}", ctx
+                );
+
+                text.replace_range(start..end, rep);
+                let lines = LineIndex::new(&text);
+                let new_end = start + rep.len();
+                let r = s.relex_from(
+                    restart, text.as_str().into(), &lines, &toks, &err_probes, start, end, new_end,
+                );
+                cache.splice(&r, text.len());
+                toks.clear();
+                let errs = s.scan_resilient_into(&text, &mut toks);
+                err_probes = errs.iter().map(|e| (e.at, s.step_raw(&text, e.at).probe)).collect();
+                prop_assert!(cache.is_consistent(), "cache out of order: {}", ctx);
+                prop_assert_eq!(
+                    cache.iter().collect::<Vec<_>>(),
+                    s.token_probes(&text, &toks).iter().collect::<Vec<_>>(),
+                    "probe cache: {}", ctx
+                );
+            }
+        }
+    }
+
+    /// Text pieces for the restart proptest: string literals (closed,
+    /// escaped, unterminated), numbers with lookahead, comments, errors.
+    const PIECES: &[&str] = &[
+        "'a'", "'x''y'", "'", "''", " ", "\n", "SELECT ", "a1", ", ", ";", "12.5", "e3", "-- c\n",
+        "#", "'open ", "FROM t ", "é",
+    ];
 
     #[test]
     fn step_raw_probe_marks_eof_observation() {

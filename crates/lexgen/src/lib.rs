@@ -43,14 +43,18 @@ pub mod minimize;
 pub mod nfa;
 pub mod regex;
 pub mod scanner;
+pub mod split_vec;
 #[cfg(test)]
 mod testdata;
+pub mod text;
 pub mod tokenset;
 pub mod vector;
 
 pub use compiled::CompiledDfa;
-pub use incremental::{RawStep, Relex, TokenSource};
+pub use incremental::{Probe, ProbeCache, RawStep, Relex, TokenSource};
 pub use line_index::LineIndex;
 pub use scanner::{LexError, Scanner, Token, TokenKind};
+pub use split_vec::{Anchored, SplitVec};
+pub use text::TextView;
 pub use tokenset::{TokenRule, TokenSet};
 pub use vector::SimdLevel;

@@ -8,12 +8,21 @@
 //! column count bounded by the length of one line. Both the lexer and the
 //! parser error paths share this type.
 
+use crate::split_vec::SplitVec;
+use crate::text::TextView;
+
 /// Byte offsets of every line start in a source string, in ascending
-/// order. `starts[0]` is always `0`; each `\n` at byte `i` contributes a
-/// start at `i + 1`.
+/// order. The first start is always `0`; each `\n` at byte `i` contributes
+/// a start at `i + 1`.
+///
+/// The starts are kept in a [`SplitVec`]: absolute up to the last
+/// [`LineIndex::apply_edit`], relative to the end of the text after it,
+/// so an edit rewrites only the starts inside its range and those between
+/// it and the previous edit. An index built by [`LineIndex::new`] has its
+/// split at the end and reads like a flat table.
 #[derive(Debug, Clone)]
 pub struct LineIndex {
-    starts: Vec<usize>,
+    starts: SplitVec<usize>,
 }
 
 impl LineIndex {
@@ -26,7 +35,9 @@ impl LineIndex {
                 starts.push(i + 1);
             }
         }
-        LineIndex { starts }
+        LineIndex {
+            starts: SplitVec::new(starts, input.len()),
+        }
     }
 
     /// Number of lines (a trailing `\n` opens a final empty line).
@@ -36,7 +47,12 @@ impl LineIndex {
 
     /// Byte offset where 1-based `line` starts, if in range.
     pub fn line_start(&self, line: usize) -> Option<usize> {
-        self.starts.get(line.checked_sub(1)?).copied()
+        self.starts.get(line.checked_sub(1)?)
+    }
+
+    /// Every line start, in order.
+    pub fn line_starts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts.iter()
     }
 
     /// The 1-based line number containing byte offset `at` (offsets at or
@@ -44,55 +60,50 @@ impl LineIndex {
     /// half of [`LineIndex::line_col`] without the column count, so it
     /// never touches the text — O(log lines).
     pub fn line_of(&self, at: usize) -> usize {
-        self.starts.partition_point(|&s| s <= at)
+        self.starts.count_while(|s| s <= at)
     }
 
     /// Incrementally update the index for an edit replacing the byte range
     /// `start..old_end` with `replacement`: line starts at or before
     /// `start` are kept, starts inside the replaced window are dropped in
     /// favor of the replacement's own newlines, and starts after the
-    /// window shift by the length delta. Equivalent to rebuilding with
-    /// [`LineIndex::new`] on the edited text, but O(lines in the window +
-    /// lines after it) with no rescans of the unedited prefix text.
-    pub fn apply_edit(&mut self, start: usize, old_end: usize, replacement: &str) {
-        debug_assert!(start <= old_end);
-        let lo = self.starts.partition_point(|&s| s <= start);
-        let hi = self.starts.partition_point(|&s| s <= old_end);
-        let delta = replacement.len() as isize - (old_end - start) as isize;
-        if delta != 0 {
-            for s in &mut self.starts[hi..] {
-                *s = (*s as isize + delta) as usize;
+    /// window move with the end of the text. Equivalent to rebuilding with
+    /// [`LineIndex::new`] on the edited text, but O(lines between this
+    /// edit and the previous one + lines in the window + newlines in the
+    /// replacement), whatever the length of the text after the edit.
+    /// Returns that count: the line starts written or removed.
+    pub fn apply_edit(&mut self, start: usize, old_end: usize, replacement: &str) -> usize {
+        debug_assert!(start <= old_end && old_end <= self.starts.text_len());
+        let mut written = self.starts.move_split(|s| s <= start);
+        written += self.starts.remove_after_split(|s| s <= old_end);
+        self.starts
+            .set_text_len(self.starts.text_len() - (old_end - start) + replacement.len());
+        for (i, b) in replacement.bytes().enumerate() {
+            if b == b'\n' {
+                self.starts.push(start + i + 1);
+                written += 1;
             }
         }
-        let mid = replacement
-            .bytes()
-            .enumerate()
-            .filter(|&(_, b)| b == b'\n')
-            .map(|(i, _)| start + i + 1);
-        self.starts.splice(lo..hi, mid);
+        written
     }
 
     /// Compute the 1-based line/column of byte offset `at`, identical to
     /// the naive [`crate::scanner::line_col`] scan: the line is found by
     /// binary search over the line starts, the column counts *characters*
     /// from the line start up to (not including) `at`. Offsets at or past
-    /// the end of input resolve to the last line.
-    pub fn line_col(&self, input: &str, at: usize) -> (usize, usize) {
-        // Number of line starts ≤ `at`; starts[0] == 0 keeps this ≥ 1.
-        let line = self.starts.partition_point(|&s| s <= at);
-        let start = self.starts[line - 1];
-        let column = input[start..]
-            .char_indices()
-            .take_while(|&(i, _)| start + i < at)
-            .count()
-            + 1;
-        (line, column)
+    /// the end of input resolve to the last line. `input` is the indexed
+    /// text, a `&str` or a two-sided [`TextView`].
+    pub fn line_col<'t>(&self, input: impl Into<TextView<'t>>, at: usize) -> (usize, usize) {
+        let line = self.line_of(at);
+        let start = self.line_start(line).expect("the first line starts at 0");
+        (line, input.into().chars_in(start, at) + 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The original byte-0 rescan, kept as the differential oracle.
     fn naive(input: &str, at: usize) -> (usize, usize) {
@@ -125,13 +136,22 @@ mod tests {
             "one\r\ntwo\r\nthree",
         ] {
             let index = LineIndex::new(input);
-            // Every byte offset, plus a few past the end.
+            // Every byte offset, plus a few past the end, read through the
+            // plain text and through a view split at every char boundary.
             for at in 0..=input.len() + 3 {
                 assert_eq!(
                     index.line_col(input, at),
                     naive(input, at),
                     "input {input:?} at {at}"
                 );
+                for split in (0..=input.len()).filter(|&i| input.is_char_boundary(i)) {
+                    let view = TextView::new(&input[..split], &input[split..]);
+                    assert_eq!(
+                        index.line_col(view, at),
+                        naive(input, at),
+                        "input {input:?} split at {split}, at {at}"
+                    );
+                }
             }
         }
     }
@@ -147,34 +167,63 @@ mod tests {
         assert_eq!(index.line_start(0), None);
     }
 
-    #[test]
-    fn apply_edit_matches_rebuild() {
-        let bases = [
-            "",
-            "a",
-            "abc\ndef\nghi",
-            "one\ntwo\nthree\nfour\n",
-            "\n\n\n",
-            "no newlines at all",
-            "é\n中文\n🦀",
-        ];
-        let replacements = ["", "x", "\n", "a\nb", "\n\n", "tail\n", "é", "中\n文", "🦀\n"];
-        for base in bases {
-            for rep in replacements {
-                for start in (0..=base.len()).filter(|&i| base.is_char_boundary(i)) {
-                    for end in (start..=base.len()).filter(|&i| base.is_char_boundary(i)) {
-                        let mut edited = String::new();
-                        edited.push_str(&base[..start]);
-                        edited.push_str(rep);
-                        edited.push_str(&base[end..]);
-                        let mut index = LineIndex::new(base);
-                        index.apply_edit(start, end, rep);
-                        assert_eq!(
-                            index.starts,
-                            LineIndex::new(&edited).starts,
-                            "base {base:?} edit {start}..{end} -> {rep:?}"
-                        );
-                    }
+    /// Largest char boundary of `text` at or below `at`.
+    fn floor_boundary(text: &str, mut at: usize) -> usize {
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Sequences of edits leave the index equal to a rebuild of the
+        /// edited text after every step, wherever the previous edits left
+        /// the split: line starts, line numbers and columns alike.
+        #[test]
+        fn apply_edit_matches_rebuild(
+            base in prop::sample::select(vec![
+                "",
+                "a",
+                "abc\ndef\nghi",
+                "one\ntwo\nthree\nfour\n",
+                "\n\n\n",
+                "no newlines at all",
+                "é\n中文\n🦀",
+            ]),
+            edits in prop::collection::vec(
+                (
+                    0usize..64,
+                    0usize..8,
+                    prop::sample::select(vec![
+                        "", "x", "\n", "a\nb", "\n\n", "tail\n", "é", "中\n文", "🦀\n",
+                    ]),
+                ),
+                1..12,
+            ),
+        ) {
+            let mut text = base.to_string();
+            let mut index = LineIndex::new(&text);
+            for (step, (at, cut, rep)) in edits.into_iter().enumerate() {
+                let start = floor_boundary(&text, at % (text.len() + 1));
+                let end = floor_boundary(&text, (start + cut).min(text.len()));
+                index.apply_edit(start, end, rep);
+                text.replace_range(start..end, rep);
+                let fresh = LineIndex::new(&text);
+                let ctx = format!("{base:?} step {step}: {start}..{end} -> {rep:?}, now {text:?}");
+                prop_assert_eq!(
+                    index.line_starts().collect::<Vec<_>>(),
+                    fresh.line_starts().collect::<Vec<_>>(),
+                    "line starts: {}", ctx
+                );
+                prop_assert_eq!(index.line_count(), fresh.line_count(), "{}", ctx);
+                for at in 0..=text.len() + 1 {
+                    prop_assert_eq!(
+                        index.line_col(text.as_str(), at),
+                        fresh.line_col(text.as_str(), at),
+                        "at {}: {}", at, ctx
+                    );
                 }
             }
         }

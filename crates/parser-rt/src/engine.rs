@@ -29,7 +29,7 @@ use sqlweave_grammar::analysis::{analyze, AnalysisError, GrammarAnalysis, EOF};
 use sqlweave_grammar::ir::{Grammar, Term};
 use sqlweave_grammar::lookahead::{analyze_lookahead, recovery_sync_set, Outcome, K_MAX};
 use sqlweave_lexgen::tokenset::{TokenSet, TokenSetError};
-use sqlweave_lexgen::{LineIndex, Scanner, Token};
+use sqlweave_lexgen::{LineIndex, Scanner, TextView, Token};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Mutex;
@@ -496,15 +496,17 @@ impl Parser {
         toks: &[Token],
         notes: &Notes,
     ) -> ParseError {
-        self.error_from_with(input, toks, notes, &LineIndex::new(input))
+        self.error_from_with(input.into(), toks, notes, &LineIndex::new(input))
     }
 
     /// [`Parser::error_from`] against a caller-held [`LineIndex`], so
     /// multi-error resilient parses pay for the line table once instead of
-    /// rescanning the input per diagnostic.
+    /// rescanning the input per diagnostic. The input is read through a
+    /// two-sided view (a maintained document's gap buffer), which no token
+    /// straddles.
     pub(crate) fn error_from_with(
         &self,
-        input: &str,
+        input: TextView<'_>,
         toks: &[Token],
         notes: &Notes,
         index: &LineIndex,
@@ -514,7 +516,7 @@ impl Parser {
                 t.start,
                 Some((
                     self.scanner.name(t.kind).to_string(),
-                    t.text(input).to_string(),
+                    input.slice(t.start, t.end).to_string(),
                 )),
             ),
             None => (input.len(), None),

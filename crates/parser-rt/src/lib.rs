@@ -34,6 +34,7 @@ pub mod cst;
 pub mod engine;
 pub mod errors;
 pub mod events;
+mod gap;
 pub mod reference;
 pub mod session;
 pub mod tree;

@@ -18,8 +18,9 @@
 use crate::engine::{EvCtx, FailureMemo, Notes, Parser, RunCounters, NO_PROD};
 use crate::errors::ParseError;
 use crate::events::{split_elements, ElemKind, Event, TopElem, ERROR_NODE};
+use crate::gap::GapText;
 use crate::tree::{Arena, SyntaxTree, TreeBuilder};
-use sqlweave_lexgen::{LexError, LineIndex, Token, TokenSource};
+use sqlweave_lexgen::{LexError, LineIndex, ProbeCache, TextView, Token, TokenSource};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
@@ -83,22 +84,29 @@ pub struct EditStats {
 /// folds nothing. Outside its window an edit changes only two dense
 /// per-chunk arrays, the first token index and the span base: integer
 /// adds, never a token move.
+///
+/// The text is a gap buffer whose gap each edit parks at its relex
+/// restart, a scan boundary no token spans; the line starts and the probe
+/// cache are split at the last edit, absolute before it and relative to
+/// the end of the text after it. So an edit moves the text and rewrites
+/// the positions between the previous edit and itself, not those after
+/// it.
 struct IncDoc {
-    /// Document text, spliced in place by each edit (the relex never
-    /// needs pre-edit bytes, only pre-edit token positions).
-    text: String,
+    /// Document text, edited in place by each edit (the relex never needs
+    /// pre-edit bytes, only pre-edit token positions).
+    text: GapText,
     lines: LineIndex,
     lex: Vec<LexError>,
     /// `(position, probe frontier)` of each entry of `lex`, in the same
-    /// order: the shape [`sqlweave_lexgen::Scanner::relex`] reads.
+    /// order: the shape [`sqlweave_lexgen::Scanner::relex_restart`] reads.
     lex_probes: Vec<(usize, usize)>,
-    /// Exact probe frontiers of the document's probe-unbounded tokens
-    /// (ascending `(token_start, frontier)` pairs): the only tokens whose
-    /// maximal munch can look past the static per-rule overhang bound, so
-    /// the relex restart consults these recorded frontiers instead of
-    /// backing up to byte 0 whenever such a rule (typically a quoted
-    /// string with doubled-quote escapes) exists in the dialect.
-    tok_probes: Vec<(usize, usize)>,
+    /// Exact probe frontiers of the document's probe-unbounded tokens: the
+    /// only tokens whose maximal munch can look past the static per-rule
+    /// overhang bound, so the relex restart consults these recorded
+    /// frontiers instead of backing up to byte 0 whenever such a rule
+    /// (typically a quoted string with doubled-quote escapes) exists in
+    /// the dialect.
+    tok_probes: ProbeCache,
     /// Syntax diagnostics for the whole document, ascending by byte
     /// offset. Shared with [`EditOutcome::errors`] by reference count so a
     /// document full of diagnostics (a large script with many broken
@@ -136,11 +144,11 @@ struct IncDoc {
 impl IncDoc {
     fn empty() -> IncDoc {
         IncDoc {
-            text: String::new(),
+            text: GapText::default(),
             lines: LineIndex::new(""),
             lex: Vec::new(),
             lex_probes: Vec::new(),
-            tok_probes: Vec::new(),
+            tok_probes: ProbeCache::new(Vec::new(), 0),
             syn: Arc::new(Vec::new()),
             arenas: Vec::new(),
             kinds: Vec::new(),
@@ -206,7 +214,9 @@ impl IncDoc {
     /// chunk token counts, which sum to `n_toks`, each chunk's first token
     /// sits at its base, every token element of an arena indexes one of
     /// its own chunk's tokens, and `n_empty_chunks` counts the token-less
-    /// chunks.
+    /// chunks. The text's gap sits on a char boundary no token spans, the
+    /// line starts decode to those of a fresh [`LineIndex`] of the text,
+    /// and the probe cache decodes to ascending pairs.
     #[cfg(debug_assertions)]
     fn check_storage(&self) {
         let n = self.arenas.len();
@@ -234,6 +244,30 @@ impl IncDoc {
             self.n_empty_chunks,
             self.arenas.iter().filter(|a| a.toks.is_empty()).count(),
             "incremental empty-chunk count drifted"
+        );
+        assert!(self.text.sides_are_utf8(), "the gap splits a char");
+        let gap = self.text.gap();
+        let spanning = self
+            .arenas
+            .iter()
+            .zip(&self.bases)
+            .flat_map(|(a, &base)| a.toks.iter().map(move |t| t.at(base)))
+            .find(|t| t.start < gap && gap < t.end);
+        assert!(
+            spanning.is_none(),
+            "token {spanning:?} spans the gap at {gap}"
+        );
+        let view = self.text.view();
+        let text = [view.head(), view.tail()].concat();
+        assert!(
+            self.lines
+                .line_starts()
+                .eq(LineIndex::new(&text).line_starts()),
+            "maintained line starts drifted from the text's"
+        );
+        assert!(
+            self.tok_probes.is_consistent() && self.tok_probes.text_len() == text.len(),
+            "probe cache out of order"
         );
     }
 }
@@ -336,9 +370,9 @@ impl std::error::Error for EditError {}
 /// Deferred tree handle of an [`EditOutcome`]: holds the session borrow
 /// and returns the document tree when [`LazyTree::get`] is called. The
 /// edit already kept every chunk current, so a read adds nothing to the
-/// edit's own cost: its window's tokens and chunks, integer adds over two
-/// per-chunk arrays, and the two document-wide terms
-/// [`ParseSession::apply_edit`] lists.
+/// edit's own cost: its window's tokens and chunks, the text and positions
+/// between it and the previous edit, and integer adds over two per-chunk
+/// arrays ([`ParseSession::apply_edit`]).
 pub struct LazyTree<'s, 'p> {
     session: &'s mut ParseSession<'p>,
 }
@@ -348,7 +382,9 @@ impl LazyTree<'_, '_> {
     /// each statement's arena and tokens were built when the statement was
     /// last parsed (by `open_document`, or by the edit whose reparse
     /// window covered it), the tree is a root wrapper over them, and a
-    /// token's chunk span base is added when the token is read.
+    /// token's chunk span base is added when the token is read. Nor does
+    /// it move the text: token text is read through the document's gap,
+    /// on whichever side of it the token lies.
     pub fn get(&mut self) -> SyntaxTree<'_> {
         self.session.materialize_document()
     }
@@ -410,7 +446,7 @@ impl Shift {
     /// recomputation against the repaired index, which rescans its line.
     fn apply(
         &self,
-        text: &str,
+        text: TextView<'_>,
         lines: &LineIndex,
         at: &mut usize,
         line: &mut usize,
@@ -440,7 +476,12 @@ impl Shift {
 /// (see [`Shift::apply`]): each edit stays independent of how many
 /// diagnostics the document carries beyond one pass of integer
 /// arithmetic, even when a large document holds thousands of them.
-fn repair_suffix_diags(syn: &mut [ParseError], text: &str, lines: &LineIndex, shift: Shift) {
+fn repair_suffix_diags(
+    syn: &mut [ParseError],
+    text: TextView<'_>,
+    lines: &LineIndex,
+    shift: Shift,
+) {
     for e in syn {
         shift.apply(text, lines, &mut e.at, &mut e.line, &mut e.column);
     }
@@ -457,8 +498,9 @@ fn splice_lex_diags(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, shift: Shi
         Some(q) => doc.lex.partition_point(|e| e.at < q),
         None => doc.lex.len(),
     };
+    let text = doc.text.view();
     for (e, p) in doc.lex[hi..].iter_mut().zip(&mut doc.lex_probes[hi..]) {
-        shift.apply(&doc.text, &doc.lines, &mut e.at, &mut e.line, &mut e.column);
+        shift.apply(text, &doc.lines, &mut e.at, &mut e.line, &mut e.column);
         *p = (e.at, shift.probe(p.1));
     }
     doc.lex.splice(lo..hi, relex.errors.iter().cloned());
@@ -470,25 +512,6 @@ fn splice_lex_diags(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, shift: Shi
             .zip(&relex.err_probes)
             .map(|(e, &p)| (e.at, p)),
     );
-}
-
-/// Splice the unbounded-token probe cache covered by a relex, in place
-/// and like [`splice_lex_diags`]: entries before the restart survive
-/// verbatim, the rescanned window's come fresh from the relex (already in
-/// new-text coordinates), and entries past the resync boundary shift —
-/// token start and frontier both — by the edit's byte delta.
-fn splice_tok_probes(doc: &mut IncDoc, relex: &sqlweave_lexgen::Relex, shift: Shift) {
-    let probes = &mut doc.tok_probes;
-    let lo = probes.partition_point(|&(at, _)| at < relex.start_byte);
-    let hi = match relex.resync_old {
-        Some(q) => probes.partition_point(|&(at, _)| at < q),
-        None => probes.len(),
-    };
-    for (at, p) in &mut probes[hi..] {
-        *at = (*at as isize + shift.delta) as usize;
-        *p = shift.probe(*p);
-    }
-    probes.splice(lo..hi, relex.tok_probes.iter().copied());
 }
 
 /// Pick the window's first element: walk left to a `Clean` element (error
@@ -743,7 +766,7 @@ impl<'p> ParseSession<'p> {
     /// window (`self.revents` is the caller's to clear).
     fn drive_resilient(
         &mut self,
-        input: &str,
+        input: TextView<'_>,
         index: &LineIndex,
         lo: usize,
         hi: usize,
@@ -905,7 +928,7 @@ impl<'p> ParseSession<'p> {
         self.kind_ids.extend(self.toks.iter().map(|t| t.kind.0));
         let n = self.toks.len();
 
-        let drive = self.drive_resilient(input, &index, 0, n, n, &mut errors);
+        let drive = self.drive_resilient(input.into(), &index, 0, n, n, &mut errors);
         debug_assert!(!drive.needs_widening, "a full-document drive never widens");
 
         // Final assembly: the accumulated children are the tree's one
@@ -931,23 +954,35 @@ impl<'p> ParseSession<'p> {
     /// (buffers are recycled).
     pub fn open_document(&mut self, text: &str) -> EditOutcome<'_, 'p> {
         let mut doc = self.inc.take().unwrap_or_else(|| Box::new(IncDoc::empty()));
-        doc.text.clear();
-        doc.text.push_str(text);
+        doc.text.set(text);
         self.reparse_document(&mut doc);
         self.inc = Some(doc);
         self.lazy_outcome()
     }
 
-    /// The text of the open document, or [`EditError::NoDocument`].
-    pub fn try_document(&self) -> Result<&str, EditError> {
-        self.inc.as_ref().map(|d| d.text.as_str()).ok_or(EditError::NoDocument)
+    /// The text of the open document, or [`EditError::NoDocument`]; see
+    /// [`ParseSession::document`].
+    pub fn try_document(&mut self) -> Result<&str, EditError> {
+        self.inc
+            .as_mut()
+            .map(|d| d.text.as_str())
+            .ok_or(EditError::NoDocument)
     }
 
-    /// The text of the open document.
+    /// The text of the open document, as one `&str`.
+    ///
+    /// The document keeps its text in a gap buffer, with the gap at the
+    /// last edit's relex restart (see [`ParseSession::apply_edit`]), so
+    /// this call takes `&mut self`: it closes the gap, moving the text
+    /// after the gap to join the text before it. That costs the bytes
+    /// between the gap and the end of the document, once, and the next
+    /// edit moves the gap back to itself. An editor that reads the text
+    /// per keystroke should keep its own copy instead; trees and
+    /// diagnostics read the document through the gap and never close it.
     ///
     /// # Panics
     /// If no document is open.
-    pub fn document(&self) -> &str {
+    pub fn document(&mut self) -> &str {
         self.try_document().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -996,10 +1031,12 @@ impl<'p> ParseSession<'p> {
     /// and diagnostics) to a from-scratch [`ParseSession::parse_resilient`]
     /// of the edited text, but repaired locally:
     ///
-    /// 1. **damage relex** — [`sqlweave_lexgen::Scanner::relex`] restarts
-    ///    the scanner at the last token boundary that provably never
-    ///    observed an edited byte and stops at the first old scan boundary
-    ///    past the edit;
+    /// 1. **damage relex** — [`sqlweave_lexgen::Scanner::relex_restart`]
+    ///    finds the last scan boundary that provably never observed an
+    ///    edited byte, the text's gap moves to the edit, takes the
+    ///    replacement and parks at that boundary, and
+    ///    [`sqlweave_lexgen::Scanner::relex_from`] rescans from there to
+    ///    the first old scan boundary past the edit;
     /// 2. **localized reparse** — the damaged token range is mapped to the
     ///    smallest enclosing run of top-level statement chunks (plus one
     ///    clean statement of margin on each side, with adjacent error
@@ -1016,9 +1053,19 @@ impl<'p> ParseSession<'p> {
     /// parser entirely: they shift the spans of one boundary chunk's
     /// tokens and the bases of the chunks after it.
     ///
-    /// No token outside the window moves. Two steps still cost
-    /// O(document) per edit: the in-place splice of the document text and
-    /// the line index's shift of the line starts after the edit.
+    /// No token outside the window moves, and no text or position after
+    /// the edit either. The text is a gap buffer: an edit moves the bytes
+    /// between the gap (parked at the previous edit's restart) and itself,
+    /// writes the replacement, and moves the bytes between its own restart
+    /// and itself. The line starts and the probe frontiers of
+    /// string-like tokens are stored absolute before the last edit and
+    /// relative to the end of the text after it, so an edit rewrites those
+    /// between the previous edit and itself and those in its range. An
+    /// edit near the previous one therefore costs what lies between them;
+    /// the first edit far from the previous one pays the distance once.
+    /// What remains proportional to the document is integer adds over the
+    /// per-chunk arrays after the window, and their splice when the chunk
+    /// count changes.
     ///
     /// The returned [`EditOutcome`] carries diagnostics and stats
     /// eagerly; the tree is assembled only when [`LazyTree::get`] is
@@ -1069,19 +1116,20 @@ impl<'p> ParseSession<'p> {
         self.toks.clear();
         self.kind_ids.clear();
         self.revents.clear();
-        doc.lines = LineIndex::new(&doc.text);
-        doc.lex = parser.scanner.scan_resilient_into(&doc.text, &mut self.toks);
+        let text = doc.text.as_str();
+        doc.lines = LineIndex::new(text);
+        doc.lex = parser.scanner.scan_resilient_into(text, &mut self.toks);
         doc.lex_probes = doc
             .lex
             .iter()
-            .map(|e| (e.at, parser.scanner.step_raw(&doc.text, e.at).probe))
+            .map(|e| (e.at, parser.scanner.step_raw(text, e.at).probe))
             .collect();
-        doc.tok_probes = parser.scanner.token_probes(&doc.text, &self.toks);
+        doc.tok_probes = parser.scanner.token_probes(text, &self.toks);
         self.kind_ids.extend(self.toks.iter().map(|t| t.kind.0));
         let n = self.toks.len();
         let syn = Arc::make_mut(&mut doc.syn);
         syn.clear();
-        let drive = self.drive_resilient(&doc.text, &doc.lines, 0, n, n, syn);
+        let drive = self.drive_resilient(text.into(), &doc.lines, 0, n, n, syn);
         doc.root = drive.root.unwrap_or((ERROR_NODE, 0));
         doc.arenas.clear();
         doc.kinds.clear();
@@ -1127,7 +1175,7 @@ impl<'p> ParseSession<'p> {
         let doc = self.inc.as_deref().expect("no document open");
         SyntaxTree::new(
             self.parser,
-            &doc.text,
+            doc.text.view(),
             doc.root,
             &doc.arenas,
             &doc.chunk_tok_lo,
@@ -1147,21 +1195,25 @@ impl<'p> ParseSession<'p> {
         Ok(ParseOutcome { tree: self.materialize_document(), errors })
     }
 
-    /// The edit pipeline: text splice, line index repair, damage relex,
-    /// diagnostic splice, and — when the token stream actually changed —
-    /// the windowed reparse, which replaces the window's chunks.
+    /// The edit pipeline: relex restart, text splice, line index repair,
+    /// damage relex, diagnostic splice, and — when the token stream
+    /// actually changed — the windowed reparse, which replaces the
+    /// window's chunks.
     fn apply_edit_inner(&mut self, doc: &mut IncDoc, start: usize, old_end: usize, rep: &str) {
         let parser = self.parser;
         let new_end = start + rep.len();
         let delta = new_end as isize - old_end as isize;
 
-        // In-place text splice: the relex only ever consults old token
-        // *positions* (through the document's chunk-based
-        // [`TokenSource`]), never old bytes, so no pre-edit copy of the
-        // document is kept — a same-length replacement touches only the
-        // replaced bytes.
-        let old_text_len = doc.text.len();
-        doc.text.replace_range(start..old_end, rep);
+        // The relex restart, found from old positions alone (token spans
+        // through the document's chunk-based [`TokenSource`], error and
+        // probe frontiers) before the text changes: the probe cache's
+        // split moves to the edit, so its entries before the edit are
+        // absolute.
+        doc.tok_probes.move_split(|at| at < start);
+        let restart =
+            parser
+                .scanner
+                .relex_restart(&*doc, &doc.lex_probes, doc.tok_probes.head(), start);
 
         // Line geometry of the edit, captured against the pre-edit index:
         // every line start at or past `old_line_end` survives the edit
@@ -1179,14 +1231,20 @@ impl<'p> ParseSession<'p> {
                 .unwrap_or(usize::MAX),
         };
 
-        doc.lines.apply_edit(start, old_end, rep);
-        let relex = parser.scanner.relex(
-            old_text_len,
-            &doc.text,
+        // Text splice in the gap buffer: the gap moves from the previous
+        // edit's restart to this edit, takes the replacement, and parks at
+        // this edit's restart, a scan boundary, so the rescan reads one
+        // contiguous suffix and no token of the edited text spans the
+        // gap. The relex never needs pre-edit bytes, so no copy of the
+        // document is kept.
+        doc.text.replace(start, old_end, rep, restart);
+        crate::tree::count_text_moves(doc.lines.apply_edit(start, old_end, rep));
+        let relex = parser.scanner.relex_from(
+            restart,
+            doc.text.view(),
             &doc.lines,
             &*doc,
             &doc.lex_probes,
-            &doc.tok_probes,
             start,
             old_end,
             new_end,
@@ -1213,7 +1271,7 @@ impl<'p> ParseSession<'p> {
             // shifting the stored spans of its chunk's tail, when it is not
             // that chunk's first token), and keep every chunk arena.
             splice_lex_diags(doc, &relex, shift);
-            splice_tok_probes(doc, &relex, shift);
+            doc.tok_probes.splice(&relex, doc.text.len());
             if delta != 0 && relex.old_lo < n_old {
                 let first = relex.old_lo; // first token whose span shifts
                 let mut c = doc.chunk_of(first);
@@ -1232,7 +1290,7 @@ impl<'p> ParseSession<'p> {
             // so this runs regardless of `delta`).
             let syn = Arc::make_mut(&mut doc.syn);
             let lo = syn.partition_point(|e| e.at < old_end);
-            repair_suffix_diags(&mut syn[lo..], &doc.text, &doc.lines, shift);
+            repair_suffix_diags(&mut syn[lo..], doc.text.view(), &doc.lines, shift);
             #[cfg(debug_assertions)]
             doc.check_storage();
             doc.last_edit = stats;
@@ -1258,7 +1316,7 @@ impl<'p> ParseSession<'p> {
         // list.
         let win_start_byte = doc.get(doc.chunk_tok_lo[e_lo]).start;
         splice_lex_diags(doc, &relex, shift);
-        splice_tok_probes(doc, &relex, shift);
+        doc.tok_probes.splice(&relex, doc.text.len());
 
         // Drive the window, widening while the drive proves it too small
         // (worst case the window reaches EOF, where widening is
@@ -1294,7 +1352,7 @@ impl<'p> ParseSession<'p> {
             self.revents.clear();
             win_syn.clear();
             let drive = self.drive_resilient(
-                &doc.text,
+                doc.text.view(),
                 &doc.lines,
                 0,
                 whi - wlo,
@@ -1380,7 +1438,7 @@ impl<'p> ParseSession<'p> {
         let syn = Arc::make_mut(&mut doc.syn);
         let syn_lo = syn.partition_point(|e| e.at < win_start_byte);
         let syn_hi = syn.partition_point(|e| e.at < win_end_byte_old);
-        repair_suffix_diags(&mut syn[syn_hi..], &doc.text, &doc.lines, shift);
+        repair_suffix_diags(&mut syn[syn_hi..], doc.text.view(), &doc.lines, shift);
         syn.splice(syn_lo..syn_hi, win_syn.drain(..));
 
         doc.last_edit = EditStats { reparsed_tokens, ..stats };
@@ -1660,6 +1718,18 @@ mod tests {
     /// diagnostics, and full token coverage.
     fn assert_incremental_identity(s: &mut ParseSession<'_>, oracle: &mut ParseSession<'_>, ctx: &str) {
         let text = s.document().to_string();
+        assert_matches_text(s, oracle, &text, ctx);
+    }
+
+    /// [`assert_incremental_identity`] against `text`, the document's
+    /// expected text, without reading the document, which would close its
+    /// gap.
+    fn assert_matches_text(
+        s: &mut ParseSession<'_>,
+        oracle: &mut ParseSession<'_>,
+        text: &str,
+        ctx: &str,
+    ) {
         let inc = {
             let o = s.try_document_outcome().expect("document open");
             assert!(
@@ -1668,7 +1738,7 @@ mod tests {
             );
             snapshot(&o)
         };
-        let full = snapshot(&oracle.parse_resilient(&text));
+        let full = snapshot(&oracle.parse_resilient(text));
         assert_eq!(inc.1, full.1, "diagnostics diverged {ctx}\ntext: {text:?}");
         assert_eq!(inc.0, full.0, "tree diverged {ctx}\ntext: {text:?}");
     }
@@ -1928,6 +1998,69 @@ mod tests {
         assert_incremental_identity(&mut s, &mut oracle, "after the insertions");
     }
 
+    /// The text-locality gate: a keystroke moves the document text between
+    /// the gap, parked at the previous edit's relex restart, and itself,
+    /// writes its replacement once, and parks the gap at its own restart;
+    /// and it rewrites the line starts between the previous edit and
+    /// itself. That is bounded by its distance from the previous edit, the
+    /// two restart distances and the replacement's length, not by the
+    /// document, whose flat splice and line-start shift move everything
+    /// after the edit. On the 256 KiB `core` script of the token-locality
+    /// gate, 32 identifier insertions within its first KiB, each followed
+    /// by a whitespace insertion, none reading the document text between.
+    #[test]
+    fn keystrokes_move_only_the_text_between_them() {
+        use crate::tree::text_moves;
+        use sqlweave_bench::{composed, corpus::generate_script};
+        use sqlweave_dialects::Dialect;
+        let c = composed(Dialect::Core);
+        let p = Parser::new(c.grammar.clone(), &c.tokens).expect("core parser");
+        let mut text = generate_script(Dialect::Core, 0xED17, 256 * 1024);
+        let mut s = p.session();
+        let mut oracle = p.session();
+        s.open_document(&text);
+        let gap = |s: &ParseSession<'_>| s.inc.as_deref().expect("document open").text.gap();
+        // `open_document` leaves the gap at the end of the text: the first
+        // edit moves it to the start, and is not gated.
+        s.apply_edit(0..0, " ");
+        text.insert(0, ' ');
+        let (mut prev, mut prev_restart) = (0usize, 0);
+        let mut rng = XorShift(0x7e47_0000_0000_0001);
+        for edit in 0..32 {
+            let idents: Vec<usize> = s
+                .try_document_outcome()
+                .expect("document open")
+                .tree
+                .tokens()
+                .take_while(|t| t.start < 1024)
+                .filter(|t| p.scanner().name(t.kind) == "IDENT")
+                .map(|t| t.start)
+                .collect();
+            let pos = idents[rng.below(idents.len())];
+            for rep in ["x ", " "] {
+                let before = text_moves();
+                let st = s.apply_edit(pos..pos, rep).stats;
+                let moved = text_moves() - before;
+                text.insert_str(pos, rep);
+                // The gap parks at the edit's relex restart, before it.
+                let restart = pos.saturating_sub(gap(&s));
+                let bound = 2 * (prev.abs_diff(pos) + prev_restart + restart + rep.len());
+                let ctx = format!(
+                    "edit {edit}, {rep:?} at {pos} (previous edit at {prev}, restarts \
+                     {prev_restart} and {restart} bytes back): {st:?}"
+                );
+                assert!(!st.full_reparse, "{ctx}");
+                assert!(
+                    (rep.len()..=bound).contains(&moved),
+                    "{ctx}: moved {moved} text bytes and line starts, bound {bound}"
+                );
+                (prev, prev_restart) = (pos, restart);
+            }
+        }
+        assert_matches_text(&mut s, &mut oracle, &text, "after the insertions");
+        assert_eq!(s.document(), text);
+    }
+
     #[test]
     fn whitespace_edit_skips_the_parser() {
         let p = script_parser();
@@ -2069,9 +2202,13 @@ mod tests {
         let mut s = p.session();
         let mut oracle = p.session();
         let mut rng = XorShift(0x5eed_0001);
-        s.open_document("SELECT a FROM t; SELECT b, c FROM u WHERE b = c; SELECT * FROM v");
+        // The expected text, edited alongside the document: edits are drawn
+        // from it, so the document's gap persists across the steps that do
+        // not compare the text.
+        let mut text =
+            String::from("SELECT a FROM t; SELECT b, c FROM u WHERE b = c; SELECT * FROM v");
+        s.open_document(&text);
         for step in 0..120 {
-            let text = s.document();
             let len = text.len();
             let mut lo = rng.below(len + 1);
             let mut hi = (lo + rng.below(9).pow(2)).min(len);
@@ -2086,11 +2223,12 @@ mod tests {
             }
             let rep = SNIPPETS[rng.below(SNIPPETS.len())];
             s.apply_edit(lo..hi, rep);
-            assert_incremental_identity(
-                &mut s,
-                &mut oracle,
-                &format!("step {step}: {lo}..{hi} := {rep:?}"),
-            );
+            text.replace_range(lo..hi, rep);
+            let ctx = format!("step {step}: {lo}..{hi} := {rep:?}");
+            assert_matches_text(&mut s, &mut oracle, &text, &ctx);
+            if step == 119 || rng.below(8) == 0 {
+                assert_eq!(s.document(), text, "{ctx}");
+            }
         }
     }
 }

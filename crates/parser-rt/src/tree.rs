@@ -15,7 +15,9 @@
 //! untouched, and an edit rebuilds only the chunks it reparses. Nothing
 //! in the tree owns a string — production names and alternative labels
 //! are resolved on demand against the parser's compiled tables, and token
-//! text is a zero-copy span into the original input.
+//! text is a zero-copy span into the input, read through a [`TextView`]:
+//! a document's text sits in a gap buffer whose gap no token spans, and a
+//! standalone parse's input is the view with an empty second side.
 //!
 //! The tree borrows the [`crate::session::ParseSession`] buffers it was
 //! built into (and the input), so a steady-state session parses with no
@@ -27,7 +29,7 @@
 use crate::cst::CstNode;
 use crate::engine::Parser;
 use crate::events::Event;
-use sqlweave_lexgen::{Token, TokenKind};
+use sqlweave_lexgen::{TextView, Token, TokenKind};
 use std::fmt;
 
 /// Arena node: a nonterminal expansion with a contiguous child range.
@@ -86,6 +88,28 @@ thread_local! {
     /// or span-shifted in place), in test builds only: the exact work
     /// count the keystroke token-locality gate pins.
     static TOKEN_WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Document text bytes moved or written by the gap buffer, plus line
+    /// starts the line index wrote or removed, on this thread, in test
+    /// builds only: the exact work count the keystroke text-locality gate
+    /// pins.
+    static TEXT_MOVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Count `n` text bytes or line starts moved (test builds only; a no-op
+/// in every other build).
+#[inline]
+pub(crate) fn count_text_moves(n: usize) {
+    #[cfg(test)]
+    TEXT_MOVES.with(|c| c.set(c.get() + n));
+    #[cfg(not(test))]
+    let _ = n;
+}
+
+/// Text bytes and line starts moved on this thread so far (test builds
+/// only).
+#[cfg(test)]
+pub(crate) fn text_moves() -> usize {
+    TEXT_MOVES.with(|c| c.get())
 }
 
 /// Arena nodes built on this thread so far (test builds only).
@@ -281,7 +305,7 @@ impl Arena {
 /// it.
 pub struct SyntaxTree<'a> {
     parser: &'a Parser,
-    input: &'a str,
+    input: TextView<'a>,
     /// `(prod, alt)` of the root, whose children are the chunks' top-level
     /// elements in order.
     root: (u32, u32),
@@ -301,7 +325,7 @@ pub struct SyntaxTree<'a> {
 impl<'a> SyntaxTree<'a> {
     pub(crate) fn new(
         parser: &'a Parser,
-        input: &'a str,
+        input: TextView<'a>,
         root: (u32, u32),
         chunks: &'a [Box<Arena>],
         tok_lo: &'a [usize],
@@ -337,7 +361,7 @@ impl<'a> SyntaxTree<'a> {
             flat: toks,
             ..SyntaxTree::new(
                 parser,
-                input,
+                input.into(),
                 root,
                 std::slice::from_ref(chunk),
                 &[0],
@@ -363,11 +387,6 @@ impl<'a> SyntaxTree<'a> {
             chunk: ROOT,
             id: 0,
         }
-    }
-
-    /// The original input text.
-    pub fn input(&self) -> &'a str {
-        self.input
     }
 
     /// All scanned (non-skip) tokens in order, with absolute spans.
@@ -564,7 +583,7 @@ impl<'a> SyntaxTree<'a> {
     /// reports.
     pub fn intern_tokens(&self, interner: &mut TokenInterner) -> Vec<Sym> {
         self.tokens()
-            .map(|t| interner.intern(t.text(self.input)))
+            .map(|t| interner.intern(self.input.slice(t.start, t.end)))
             .collect()
     }
 }
@@ -747,7 +766,7 @@ impl<'a, 't> SyntaxNode<'a, 't> {
                         let tok = tree.token(c, t);
                         CstNode::Token {
                             kind: tree.parser.scanner().name(tok.kind).to_string(),
-                            text: tok.text(tree.input).to_string(),
+                            text: tree.input.slice(tok.start, tok.end).to_string(),
                             start: tok.start,
                             end: tok.end,
                         }
@@ -801,7 +820,8 @@ impl<'a, 't> SyntaxToken<'a, 't> {
 
     /// The lexeme, borrowed from the input.
     pub fn text(&self) -> &'a str {
-        self.token().text(self.tree.input)
+        let t = self.token();
+        self.tree.input.slice(t.start, t.end)
     }
 
     /// Byte span in the original input.
@@ -843,7 +863,8 @@ mod tests {
     fn tree_navigation_matches_cst() {
         let p = parser();
         let mut s = p.session();
-        let tree = s.parse_tree("SELECT a, b FROM t").unwrap();
+        let input = "SELECT a, b FROM t";
+        let tree = s.parse_tree(input).unwrap();
         let root = tree.root();
         assert_eq!(root.name(), "query");
         assert_eq!(root.label(), Some("select"));
@@ -855,7 +876,7 @@ mod tests {
         // token text is a span into the input, not a copy
         let a = sl.find_token("IDENT").unwrap();
         assert_eq!(a.text(), "a");
-        assert!(std::ptr::eq(a.text(), &tree.input()[7..8]));
+        assert!(std::ptr::eq(a.text(), &input[7..8]));
     }
 
     #[test]
@@ -909,12 +930,13 @@ mod tests {
     fn intern_tokens_is_parallel_to_the_token_stream() {
         let p = parser();
         let mut s = p.session();
-        let tree = s.parse_tree("SELECT a, b, a FROM a").unwrap();
+        let input = "SELECT a, b, a FROM a";
+        let tree = s.parse_tree(input).unwrap();
         let mut interner = TokenInterner::new();
         let syms = tree.intern_tokens(&mut interner);
         assert_eq!(syms.len(), tree.tokens().len());
         for (sym, tok) in syms.iter().zip(tree.tokens()) {
-            assert_eq!(interner.resolve(*sym), tok.text(tree.input()));
+            assert_eq!(interner.resolve(*sym), tok.text(input));
         }
         // `a` appears three times but is stored once
         assert_eq!(syms.iter().filter(|&&s| interner.resolve(s) == "a").count(), 3);

@@ -4,6 +4,13 @@
 //! coverage — across all dialects, over golden single edits (mid-keyword,
 //! token-merging, comment-interior, statement-boundary-spanning) and
 //! random edit scripts.
+//!
+//! Each test keeps the document's expected text in a plain `String`,
+//! edited with `replace_range` alongside the session, and draws its edits
+//! from it. Reading `ParseSession::document` closes the document's gap
+//! buffer, so the tests compare it with the expected text only at chosen
+//! steps (always the last): in between, the gap and the line index's
+//! split persist across edits as they do in an editor.
 
 use proptest::prelude::*;
 use sqlweave::dialects::Dialect;
@@ -31,8 +38,9 @@ fn base_script(dialect: Dialect) -> String {
     corpus(dialect)[..5.min(corpus(dialect).len())].join("; ")
 }
 
-/// Apply one edit incrementally and assert identity with a from-scratch
-/// resilient parse of the same edited text. The eager half of the
+/// Apply one edit incrementally, and to `text`, the document's expected
+/// text, and assert identity with a from-scratch resilient parse of the
+/// edited text. The eager half of the
 /// [`sqlweave::parser_rt::EditOutcome`] (diagnostics, stats) is checked
 /// first, then the tree is read through the lazy handle: its CST, node
 /// count and token stream (kinds and spans) must all be the from-scratch
@@ -40,6 +48,7 @@ fn base_script(dialect: Dialect) -> String {
 fn check_edit(
     s: &mut ParseSession<'_>,
     oracle: &mut ParseSession<'_>,
+    text: &mut String,
     lo: usize,
     hi: usize,
     rep: &str,
@@ -60,9 +69,9 @@ fn check_edit(
             tree.tokens().collect(),
         )
     };
-    let text = s.document().to_string();
+    text.replace_range(lo..hi, rep);
     let (full_cst, full_errs, full_nodes, full_toks) = {
-        let o = oracle.parse_resilient(&text);
+        let o = oracle.parse_resilient(text);
         (
             o.tree.to_cst(),
             o.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>(),
@@ -84,11 +93,13 @@ fn check_edit(
     assert_eq!(st.total_tokens, full_cst.tokens().len(), "{ctx}");
 }
 
-/// Apply one edit incrementally without reading the tree and assert that
-/// its diagnostics equal a from-scratch resilient parse's.
+/// Apply one edit incrementally, and to the expected `text`, without
+/// reading the tree and assert that its diagnostics equal a from-scratch
+/// resilient parse's.
 fn check_diagnostics(
     s: &mut ParseSession<'_>,
     oracle: &mut ParseSession<'_>,
+    text: &mut String,
     lo: usize,
     hi: usize,
     rep: &str,
@@ -100,14 +111,19 @@ fn check_diagnostics(
         .iter()
         .map(|e| e.to_string())
         .collect();
-    let text = s.document().to_string();
+    text.replace_range(lo..hi, rep);
     let full: Vec<String> = oracle
-        .parse_resilient(&text)
+        .parse_resilient(text)
         .errors
         .iter()
         .map(|e| e.to_string())
         .collect();
     assert_eq!(errs, full, "diagnostics diverged: {ctx}\ntext: {text:?}");
+}
+
+/// Assert the document's text is the expected `text` (closing its gap).
+fn check_document(s: &mut ParseSession<'_>, text: &str, ctx: &str) {
+    assert_eq!(s.document(), text, "document text diverged: {ctx}");
 }
 
 /// Golden single-edit cases on every dialect.
@@ -120,22 +136,49 @@ fn golden_single_edits_match_full_reparse() {
         let ctx = |what: &str| format!("{} {what}", d.name());
 
         // mid-keyword edit: split FROM in two
-        let text = base_script(d);
+        let mut text = base_script(d);
         s.open_document(&text);
         let at = text.find("FROM").expect("corpus has FROM") + 2;
-        check_edit(&mut s, &mut oracle, at, at, " ", &ctx("mid-keyword split"));
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            at,
+            at,
+            " ",
+            &ctx("mid-keyword split"),
+        );
+        check_document(&mut s, &text, &ctx("mid-keyword split"));
 
         // token-merge edit: delete the whitespace before FROM so the
         // preceding token and `FROM` fuse into one identifier
-        let text = base_script(d);
+        let mut text = base_script(d);
         s.open_document(&text);
         let at = text.find(" FROM").expect("corpus has FROM");
-        check_edit(&mut s, &mut oracle, at, at + 1, "", &ctx("token merge"));
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            at,
+            at + 1,
+            "",
+            &ctx("token merge"),
+        );
+        check_document(&mut s, &text, &ctx("token merge"));
 
         // edit inside a block comment: token-preserving
-        let text = format!("/* a comment */ {}", base_script(d));
+        let mut text = format!("/* a comment */ {}", base_script(d));
         s.open_document(&text);
-        check_edit(&mut s, &mut oracle, 5, 6, "X Y Z", &ctx("comment interior"));
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            5,
+            6,
+            "X Y Z",
+            &ctx("comment interior"),
+        );
+        check_document(&mut s, &text, &ctx("comment interior"));
     }
 }
 
@@ -146,9 +189,11 @@ fn comment_edit_is_token_preserving() {
         let p = parser(d);
         let mut s = p.session();
         let mut oracle = p.session();
-        let text = format!("/* a comment */ {}", base_script(d));
+        let mut text = format!("/* a comment */ {}", base_script(d));
         s.open_document(&text);
-        check_edit(&mut s, &mut oracle, 3, 4, "XYZ", &format!("{} comment edit", d.name()));
+        let ctx = format!("{} comment edit", d.name());
+        check_edit(&mut s, &mut oracle, &mut text, 3, 4, "XYZ", &ctx);
+        check_document(&mut s, &text, &ctx);
         let st = s.edit_stats();
         assert!(!st.full_reparse, "{}: {st:?}", d.name());
         assert_eq!(st.reparsed_tokens, 0, "{}: {st:?}", d.name());
@@ -164,19 +209,14 @@ fn statement_boundary_spanning_edit_matches() {
         let p = parser(d);
         let mut s = p.session();
         let mut oracle = p.session();
-        let text = base_script(d);
+        let mut text = base_script(d);
         s.open_document(&text);
         let semi = text.find(';').expect("multi-statement script");
         let lo = semi.saturating_sub(3);
         let hi = (semi + 4).min(text.len());
-        check_edit(
-            &mut s,
-            &mut oracle,
-            lo,
-            hi,
-            " ",
-            &format!("{} cross-boundary", d.name()),
-        );
+        let ctx = format!("{} cross-boundary", d.name());
+        check_edit(&mut s, &mut oracle, &mut text, lo, hi, " ", &ctx);
+        check_document(&mut s, &text, &ctx);
     }
 }
 
@@ -190,12 +230,22 @@ fn single_token_edit_reparses_locally() {
     let mut oracle = p.session();
     let stmts = corpus(d);
     let text: Vec<String> = (0..30).map(|i| stmts[i % stmts.len()].to_string()).collect();
-    let text = text.join(";\n");
+    let mut text = text.join(";\n");
     s.open_document(&text);
     let total = s.edit_stats().total_tokens;
     let at = text.len() / 2;
-    let at = (at..text.len()).find(|&i| text.is_char_boundary(i)).unwrap();
-    check_edit(&mut s, &mut oracle, at, at, " x ", "mid-document insert");
+    let at = (at..text.len())
+        .find(|&i| text.is_char_boundary(i))
+        .unwrap();
+    check_edit(
+        &mut s,
+        &mut oracle,
+        &mut text,
+        at,
+        at,
+        " x ",
+        "mid-document insert",
+    );
     let st = s.edit_stats();
     assert!(!st.full_reparse, "{st:?}");
     assert!(st.reparsed_tokens < total / 3, "window too large: {st:?} of {total}");
@@ -206,18 +256,19 @@ fn single_token_edit_reparses_locally() {
     // it was set (at most 1 relexed token, resync within 49 bytes, reparse
     // window median/max 28/70 tokens), so a repair that widens toward
     // whole-document work fails.
-    let script = corpus::generate_script(d, 0xED17, 256 * 1024);
+    let mut script = corpus::generate_script(d, 0xED17, 256 * 1024);
     s.open_document(&script);
     let mut rng = XorShift(0x1c00_0000_0000_0001 ^ script.len() as u64);
     let mut windows = Vec::new();
     for edit in 0..32 {
-        let bytes = s.document().as_bytes();
+        let bytes = script.as_bytes();
         let pos = (0..10_000)
             .map(|_| rng.below(bytes.len()))
             .find(|&q| bytes[q].is_ascii_lowercase())
             .expect("generated script contains identifier characters");
         let rep = if bytes[pos] == b'x' { "y" } else { "x" };
         let st = s.apply_edit(pos..pos + 1, rep).stats;
+        script.replace_range(pos..pos + 1, rep);
         let ctx = format!("edit {edit} at {pos}: {st:?}");
         assert!(!st.full_reparse, "{ctx}");
         assert!(st.relexed_tokens <= 1, "{ctx}");
@@ -228,6 +279,7 @@ fn single_token_edit_reparses_locally() {
     windows.sort_unstable();
     let median = windows[windows.len() / 2];
     assert!(median <= 35, "reparse windows: {windows:?}");
+    check_document(&mut s, &script, "after the keystroke gate");
 }
 
 /// Boundary edits: empty documents, edits at byte 0 and at `len`,
@@ -242,35 +294,108 @@ fn boundary_edits_match_full_reparse() {
         let ctx = |what: &str| format!("{} {what}", d.name());
 
         // empty document: zero-length edit, then grow from nothing
-        s.open_document("");
-        check_edit(&mut s, &mut oracle, 0, 0, "", &ctx("empty no-op"));
+        let mut text = String::new();
+        s.open_document(&text);
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            0,
+            0,
+            "",
+            &ctx("empty no-op"),
+        );
         let stmt = corpus(d)[0];
-        check_edit(&mut s, &mut oracle, 0, 0, stmt, &ctx("insert into empty"));
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            0,
+            0,
+            stmt,
+            &ctx("insert into empty"),
+        );
+        check_document(&mut s, &text, &ctx("insert into empty"));
 
         // edit at byte 0 and at len
-        let text = base_script(d);
+        let mut text = base_script(d);
         s.open_document(&text);
-        check_edit(&mut s, &mut oracle, 0, 0, "X", &ctx("insert at 0"));
-        let end = s.document().len();
-        check_edit(&mut s, &mut oracle, end, end, " Y", &ctx("insert at len"));
-        check_edit(&mut s, &mut oracle, 0, 1, "", &ctx("delete at 0"));
-        let end = s.document().len();
-        check_edit(&mut s, &mut oracle, end - 1, end, "", &ctx("delete at len"));
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            0,
+            0,
+            "X",
+            &ctx("insert at 0"),
+        );
+        let end = text.len();
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            end,
+            end,
+            " Y",
+            &ctx("insert at len"),
+        );
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            0,
+            1,
+            "",
+            &ctx("delete at 0"),
+        );
+        let end = text.len();
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            end - 1,
+            end,
+            "",
+            &ctx("delete at len"),
+        );
 
         // zero-length delete mid-document (a no-op edit)
-        let mid = s.document().len() / 2;
-        let mid = (0..=mid)
-            .rev()
-            .find(|&i| s.document().is_char_boundary(i))
-            .unwrap();
-        check_edit(&mut s, &mut oracle, mid, mid, "", &ctx("zero-length mid"));
+        let mid = text.len() / 2;
+        let mid = (0..=mid).rev().find(|&i| text.is_char_boundary(i)).unwrap();
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            mid,
+            mid,
+            "",
+            &ctx("zero-length mid"),
+        );
+        check_document(&mut s, &text, &ctx("zero-length mid"));
 
         // whole-document replacement, then delete everything
-        let end = s.document().len();
+        let end = text.len();
         let next = base_script(d);
-        check_edit(&mut s, &mut oracle, 0, end, &next, &ctx("replace all"));
-        let end = s.document().len();
-        check_edit(&mut s, &mut oracle, 0, end, "", &ctx("delete all"));
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            0,
+            end,
+            &next,
+            &ctx("replace all"),
+        );
+        let end = text.len();
+        check_edit(
+            &mut s,
+            &mut oracle,
+            &mut text,
+            0,
+            end,
+            "",
+            &ctx("delete all"),
+        );
+        check_document(&mut s, &text, &ctx("delete all"));
     }
 }
 
@@ -285,42 +410,54 @@ fn multibyte_edits_around_damage_region_match() {
 
     // é (2 bytes), 中文 (3+3), 🦀 (4) — inside string literals where
     // the dialect lexes them, plus a bare lexical-error scalar.
-    let text = "SELECT '🦀 中文' FROM t; SELECT é FROM u; SELECT 'x' FROM v";
-    s.open_document(text);
+    let mut text = String::from("SELECT '🦀 中文' FROM t; SELECT é FROM u; SELECT 'x' FROM v");
+    s.open_document(&text);
     // replace the 4-byte scalar inside the literal
-    let crab = s.document().find('🦀').unwrap();
-    check_edit(&mut s, &mut oracle, crab, crab + 4, "zz", "replace 4-byte");
-    // insert a multi-byte scalar right at a token boundary
-    let quote = s.document().find('\'').unwrap();
+    let crab = text.find('🦀').unwrap();
     check_edit(
         &mut s,
         &mut oracle,
+        &mut text,
+        crab,
+        crab + 4,
+        "zz",
+        "replace 4-byte",
+    );
+    // insert a multi-byte scalar right at a token boundary
+    let quote = text.find('\'').unwrap();
+    check_edit(
+        &mut s,
+        &mut oracle,
+        &mut text,
         quote,
         quote,
         "中",
         "insert 3-byte at token edge",
     );
     // delete a span that straddles the lexical-error scalar
-    let e_acc = s.document().find('é').unwrap();
-    let hi = (e_acc + 2).min(s.document().len());
+    let e_acc = text.find('é').unwrap();
+    let hi = (e_acc + 2).min(text.len());
     check_edit(
         &mut s,
         &mut oracle,
+        &mut text,
         e_acc,
         hi,
         "🦀",
         "swap 2-byte error for 4-byte",
     );
     // and shrink it back to a single ascii byte
-    let crab = s.document().find('🦀').unwrap();
+    let crab = text.find('🦀').unwrap();
     check_edit(
         &mut s,
         &mut oracle,
+        &mut text,
         crab,
         crab + 4,
         "w",
         "shrink 4-byte to ascii",
     );
+    check_document(&mut s, &text, "after the multi-byte edits");
 }
 
 /// A same-length token-preserving splice that adds a newline (replacing a
@@ -333,12 +470,13 @@ fn token_preserving_newline_edit_repositions_later_diagnostics() {
         let p = parser(d);
         let mut s = p.session();
         let mut oracle = p.session();
-        let text = format!("/* a */\nFROM FROM;\n{}", base_script(d));
+        let mut text = format!("/* a */\nFROM FROM;\n{}", base_script(d));
         s.open_document(&text);
         let at = text.find('a').unwrap();
         check_edit(
             &mut s,
             &mut oracle,
+            &mut text,
             at,
             at + 1,
             "\n",
@@ -364,12 +502,13 @@ fn same_length_multibyte_edit_shifts_same_line_columns() {
         let p = parser(d);
         let mut s = p.session();
         let mut oracle = p.session();
-        let text = format!("/* é */ FROM FROM;\n{}", base_script(d));
+        let mut text = format!("/* é */ FROM FROM;\n{}", base_script(d));
         s.open_document(&text);
         let at = text.find('é').unwrap();
         check_edit(
             &mut s,
             &mut oracle,
+            &mut text,
             at,
             at + 'é'.len_utf8(),
             "xy",
@@ -415,13 +554,15 @@ fn diagnostics_stay_exact_without_materializing_trees() {
     let p = parser(d);
     let mut s = p.session();
     let mut oracle = p.session();
-    s.open_document(&base_script(d));
+    let mut text = base_script(d);
+    s.open_document(&text);
     let mut rng = XorShift(0xfeed_beef);
     for step in 0..24 {
-        let (lo, hi, rep) = random_edit(&mut rng, s.document());
+        let (lo, hi, rep) = random_edit(&mut rng, &text);
         check_diagnostics(
             &mut s,
             &mut oracle,
+            &mut text,
             lo,
             hi,
             rep,
@@ -429,7 +570,8 @@ fn diagnostics_stay_exact_without_materializing_trees() {
         );
     }
     // one final materialization after the whole un-materialized script
-    check_edit(&mut s, &mut oracle, 0, 0, "", "final catch-up");
+    check_edit(&mut s, &mut oracle, &mut text, 0, 0, "", "final catch-up");
+    check_document(&mut s, &text, "final catch-up");
 }
 
 /// Deterministic xorshift64* so edit scripts are reproducible from a seed.
@@ -496,7 +638,9 @@ proptest! {
     /// parse byte for byte, and on seeded steps (always the last) so do
     /// the tree, its node count and its tokens. Steps that skip the read
     /// leave the chunk arenas to persist across several edits, fallbacks
-    /// and token-preserving edits before the next read checks them.
+    /// and token-preserving edits before the next read checks them; the
+    /// document text is compared on other seeded steps (always the last),
+    /// so the gap and the line index's split persist likewise.
     #[test]
     fn random_edit_scripts_match_full_reparse(seed in 0u64..u64::MAX) {
         for d in Dialect::ALL {
@@ -504,14 +648,18 @@ proptest! {
             let mut s = p.session();
             let mut oracle = p.session();
             let mut rng = XorShift(seed ^ 0x9e37_79b9_7f4a_7c15);
-            s.open_document(&base_script(d));
+            let mut text = base_script(d);
+            s.open_document(&text);
             for step in 0..8 {
-                let (lo, hi, rep) = random_edit(&mut rng, s.document());
+                let (lo, hi, rep) = random_edit(&mut rng, &text);
                 let ctx = format!("{} seed {seed} step {step}: {lo}..{hi} := {rep:?}", d.name());
                 if step == 7 || rng.below(3) == 0 {
-                    check_edit(&mut s, &mut oracle, lo, hi, rep, &ctx);
+                    check_edit(&mut s, &mut oracle, &mut text, lo, hi, rep, &ctx);
                 } else {
-                    check_diagnostics(&mut s, &mut oracle, lo, hi, rep, &ctx);
+                    check_diagnostics(&mut s, &mut oracle, &mut text, lo, hi, rep, &ctx);
+                }
+                if step == 7 || rng.below(3) == 0 {
+                    check_document(&mut s, &text, &ctx);
                 }
             }
         }
